@@ -91,15 +91,15 @@ std::uint64_t count_shortest_routes(const Topology& topo, int src,
 }
 
 Route greedy_shortest_route(const Topology& topo, int src, int dst) {
-  std::vector<int> nodes{src};
-  int current = src;
-  while (current != dst) {
-    const auto choices = next_hop_choices(topo, current, dst);
-    OREGAMI_ASSERT(!choices.empty(), "destination must be reachable");
-    current = choices.front();
-    nodes.push_back(current);
+  Route route{{src}, {}};
+  for (int current = src; current != dst;) {
+    const Topology::Hop hop = topo.greedy_hop(current, dst);
+    OREGAMI_ASSERT(hop.next != -1, "destination must be reachable");
+    route.nodes.push_back(hop.next);
+    route.links.push_back(hop.link);
+    current = hop.next;
   }
-  return route_from_nodes(topo, std::move(nodes));
+  return route;
 }
 
 Route dimension_order_route(const Topology& topo, int src, int dst) {

@@ -28,8 +28,8 @@ namespace oregami {
 [[nodiscard]] std::uint64_t count_shortest_routes(const Topology& topo,
                                                   int src, int dst);
 
-/// One canonical shortest route chosen greedily (lowest-numbered
-/// next hop at each step).
+/// One canonical shortest route chosen greedily: Topology::greedy_hop
+/// at each step (lowest-numbered next hop).
 [[nodiscard]] Route greedy_shortest_route(const Topology& topo, int src,
                                           int dst);
 

@@ -2,12 +2,34 @@
 
 #include <algorithm>
 #include <bit>
+#include <climits>
+#include <cstdint>
 
 #include "oregami/graph/gray_code.hpp"
 #include "oregami/graph/shortest_paths.hpp"
 #include "oregami/support/error.hpp"
 
 namespace oregami {
+
+namespace {
+
+/// Factory precondition: a bad shape is the caller's input error (a
+/// typo'd topology spec, say), so it throws instead of aborting.
+void require(bool ok, const char* message) {
+  if (!ok) {
+    throw MappingError(message);
+  }
+}
+
+/// Processor count of a shape, refused when it or the link count would
+/// overflow an int id.
+int checked_procs(std::int64_t procs, std::int64_t links) {
+  require(procs <= INT_MAX && links <= INT_MAX,
+          "topology too large: processor or link ids overflow int");
+  return static_cast<int>(procs);
+}
+
+}  // namespace
 
 std::string to_string(TopoFamily family) {
   switch (family) {
@@ -45,10 +67,13 @@ Topology::Topology(std::string name, TopoFamily family,
       links_(std::move(links)),
       custom_dist_(family == TopoFamily::Custom
                        ? std::make_shared<CustomDistances>()
-                       : nullptr) {}
+                       : nullptr),
+      hop_table_(links_.num_vertices() <= kHopTableMaxProcs
+                     ? std::make_shared<HopTable>()
+                     : nullptr) {}
 
 Topology Topology::ring(int p) {
-  OREGAMI_ASSERT(p >= 3, "ring needs at least 3 processors");
+  require(p >= 3, "ring needs at least 3 processors");
   Graph g(p);
   for (int i = 0; i < p; ++i) {
     g.add_edge(i, (i + 1) % p);
@@ -58,7 +83,7 @@ Topology Topology::ring(int p) {
 }
 
 Topology Topology::chain(int p) {
-  OREGAMI_ASSERT(p >= 1, "chain needs at least 1 processor");
+  require(p >= 1, "chain needs at least 1 processor");
   Graph g(p);
   for (int i = 0; i + 1 < p; ++i) {
     g.add_edge(i, i + 1);
@@ -68,8 +93,9 @@ Topology Topology::chain(int p) {
 }
 
 Topology Topology::mesh(int rows, int cols) {
-  OREGAMI_ASSERT(rows >= 1 && cols >= 1, "mesh dimensions must be positive");
-  Graph g(rows * cols);
+  require(rows >= 1 && cols >= 1, "mesh dimensions must be positive");
+  Graph g(checked_procs(std::int64_t{rows} * cols,
+                        std::int64_t{2} * rows * cols));
   for (int r = 0; r < rows; ++r) {
     for (int c = 0; c < cols; ++c) {
       const int v = r * cols + c;
@@ -87,10 +113,11 @@ Topology Topology::mesh(int rows, int cols) {
 }
 
 Topology Topology::torus(int rows, int cols) {
-  OREGAMI_ASSERT(rows >= 3 && cols >= 3,
-                 "torus dimensions must be >= 3 (smaller wraps create "
-                 "parallel links)");
-  Graph g(rows * cols);
+  require(rows >= 3 && cols >= 3,
+          "torus dimensions must be >= 3 (smaller wraps create "
+          "parallel links)");
+  Graph g(checked_procs(std::int64_t{rows} * cols,
+                        std::int64_t{2} * rows * cols));
   for (int r = 0; r < rows; ++r) {
     for (int c = 0; c < cols; ++c) {
       const int v = r * cols + c;
@@ -104,7 +131,7 @@ Topology Topology::torus(int rows, int cols) {
 }
 
 Topology Topology::hypercube(int dim) {
-  OREGAMI_ASSERT(dim >= 0 && dim <= 20, "hypercube dimension out of range");
+  require(dim >= 0 && dim <= 20, "hypercube dimension out of range");
   const int p = 1 << dim;
   Graph g(p);
   for (int v = 0; v < p; ++v) {
@@ -120,7 +147,8 @@ Topology Topology::hypercube(int dim) {
 }
 
 Topology Topology::complete_binary_tree(int levels) {
-  OREGAMI_ASSERT(levels >= 1, "tree needs at least one level");
+  require(levels >= 1, "tree needs at least one level");
+  require(levels <= 30, "tree too large: processor ids overflow int");
   const int p = (1 << levels) - 1;
   Graph g(p);
   for (int v = 1; v < p; ++v) {
@@ -131,7 +159,7 @@ Topology Topology::complete_binary_tree(int levels) {
 }
 
 Topology Topology::star(int p) {
-  OREGAMI_ASSERT(p >= 2, "star needs at least 2 processors");
+  require(p >= 2, "star needs at least 2 processors");
   Graph g(p);
   for (int v = 1; v < p; ++v) {
     g.add_edge(0, v);
@@ -141,8 +169,8 @@ Topology Topology::star(int p) {
 }
 
 Topology Topology::complete(int p) {
-  OREGAMI_ASSERT(p >= 2, "complete graph needs at least 2 processors");
-  Graph g(p);
+  require(p >= 2, "complete graph needs at least 2 processors");
+  Graph g(checked_procs(p, std::int64_t{p} * (p - 1) / 2));
   for (int u = 0; u < p; ++u) {
     for (int v = u + 1; v < p; ++v) {
       g.add_edge(u, v);
@@ -153,7 +181,7 @@ Topology Topology::complete(int p) {
 }
 
 Topology Topology::butterfly(int k) {
-  OREGAMI_ASSERT(k >= 1 && k <= 12, "butterfly order out of range");
+  require(k >= 1 && k <= 12, "butterfly order out of range");
   // (k+1) ranks x 2^k columns; rank l node of column c connects to rank
   // l+1 nodes of columns c and c ^ (1 << l) (straight + cross edges).
   const int cols = 1 << k;
@@ -171,9 +199,10 @@ Topology Topology::butterfly(int k) {
 }
 
 Topology Topology::mesh3d(int nx, int ny, int nz) {
-  OREGAMI_ASSERT(nx >= 1 && ny >= 1 && nz >= 1,
-                 "mesh3d dimensions must be positive");
-  Graph g(nx * ny * nz);
+  require(nx >= 1 && ny >= 1 && nz >= 1,
+          "mesh3d dimensions must be positive");
+  const std::int64_t procs = std::int64_t{nx} * ny * nz;
+  Graph g(checked_procs(procs, 3 * procs));
   auto id = [ny, nz](int x, int y, int z) { return (x * ny + y) * nz + z; };
   for (int x = 0; x < nx; ++x) {
     for (int y = 0; y < ny; ++y) {
@@ -342,6 +371,37 @@ DistanceRow Topology::distance_row(int u) const {
           static_cast<std::size_t>(u) * static_cast<std::size_t>(num_procs());
   }
   return DistanceRow(*this, u, row);
+}
+
+Topology::Hop Topology::scan_hop(const DistanceRow& to_dst, int cur) const {
+  const int here = to_dst[cur];
+  Hop hop;
+  for (const auto& a : links_.neighbors(cur)) {
+    if (to_dst[a.neighbor] == here - 1 &&
+        (hop.next == -1 || a.neighbor < hop.next)) {
+      hop = {a.neighbor, a.edge_id};
+    }
+  }
+  return hop;
+}
+
+Topology::Hop Topology::greedy_hop_slow(int cur, int dst) const {
+  if (hop_table_ == nullptr) {
+    return scan_hop(distance_row(dst), cur);
+  }
+  auto& table = *hop_table_;
+  std::call_once(table.once, [&] {
+    const auto p = static_cast<std::size_t>(num_procs());
+    table.hops.resize(p * p);
+    for (std::size_t d = 0; d < p; ++d) {
+      const DistanceRow to_dst = distance_row(static_cast<int>(d));
+      for (std::size_t c = 0; c < p; ++c) {
+        table.hops[d * p + c] = scan_hop(to_dst, static_cast<int>(c));
+      }
+    }
+    table.ready.store(table.hops.data(), std::memory_order_release);
+  });
+  return greedy_hop(cur, dst);
 }
 
 void Topology::precompute_distances() const {

@@ -11,8 +11,14 @@
 // row-major allocation and filled exactly once under std::call_once.
 // Every const distance query is therefore allocation-free and safe to
 // call concurrently from multiple threads.
+//
+// Greedy routing (one shortest-path step at a time) has one rule,
+// greedy_hop(). Machines of at most kHopTableMaxProcs processors answer
+// it from a P*P next-hop table built lazily the same way; larger ones
+// scan the neighbours' distances on every call.
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -20,6 +26,7 @@
 #include <vector>
 
 #include "oregami/graph/graph.hpp"
+#include "oregami/support/error.hpp"
 
 namespace oregami {
 
@@ -65,7 +72,22 @@ class DistanceRow {
 
 class Topology {
  public:
-  /// Factories for the regular networks OREGAMI targets.
+  /// Largest machine that gets a greedy next-hop table: P^2 entries of
+  /// 8 bytes, so at most 512 KiB and P^2 * degree work to build.
+  static constexpr int kHopTableMaxProcs = 256;
+
+  /// One greedy routing step (see greedy_hop). Both fields are -1 when
+  /// there is no step to take.
+  struct Hop {
+    int next = -1;  ///< neighbour one hop closer to the destination
+    int link = -1;  ///< link to it: the first adjacency entry
+  };
+
+  /// Factories for the regular networks OREGAMI targets. Each throws
+  /// MappingError on a shape its family does not allow (ring < 3,
+  /// torus side < 3, hypercube dimension outside [0, 20], butterfly
+  /// order outside [1, 12], ...) or whose processor or link count
+  /// overflows int.
   static Topology ring(int p);
   static Topology chain(int p);
   static Topology mesh(int rows, int cols);
@@ -110,6 +132,17 @@ class Topology {
 
   [[nodiscard]] int diameter() const;
 
+  /// The greedy shortest-route rule: the lowest-numbered neighbour of
+  /// `cur` one hop closer to `dst`, with the link link_between(cur,
+  /// next) reports. Returns {-1, -1} when cur == dst or dst cannot be
+  /// reached. Reads the next-hop table when P <= kHopTableMaxProcs
+  /// (built on first use, thread-safely) and scans the neighbours
+  /// otherwise; both give the same answer.
+  [[nodiscard]] Hop greedy_hop(int cur, int dst) const;
+
+  /// True when greedy_hop is answered from a table (P <= the limit).
+  [[nodiscard]] bool has_hop_table() const { return hop_table_ != nullptr; }
+
   /// Human label for a processor: plain index, mesh coordinates
   /// "(r,c)", or binary address for hypercubes.
   [[nodiscard]] std::string proc_label(int p) const;
@@ -136,6 +169,20 @@ class Topology {
 
   [[nodiscard]] const CustomDistances& custom_distances() const;
 
+  /// Greedy next-hop table, shared by copies like CustomDistances.
+  struct HopTable {
+    std::once_flag once;
+    std::vector<Hop> hops;  ///< hops[dst * P + cur]
+    /// hops.data() once filled: the lookup's fast path, one acquire
+    /// load instead of a call_once per hop.
+    std::atomic<const Hop*> ready{nullptr};
+  };
+
+  /// greedy_hop before the table is published: builds it under
+  /// std::call_once, or scans when the machine is above the limit.
+  [[nodiscard]] Hop greedy_hop_slow(int cur, int dst) const;
+  [[nodiscard]] Hop scan_hop(const DistanceRow& to_dst, int cur) const;
+
   std::string name_;
   TopoFamily family_;
   std::vector<int> shape_;
@@ -143,10 +190,29 @@ class Topology {
   // Allocated only for Custom; mutable because the once-fill happens
   // behind logically-const distance queries.
   mutable std::shared_ptr<CustomDistances> custom_dist_;
+  // Allocated only when P <= kHopTableMaxProcs; filled on first use.
+  std::shared_ptr<HopTable> hop_table_;
 };
 
 inline int DistanceRow::operator[](int v) const {
   return row_ != nullptr ? row_[v] : topo_->distance(u_, v);
+}
+
+// Inline: greedy_hop runs once per hop of every route the incremental
+// scorer walks, so the table lookup must not cost a call.
+inline Topology::Hop Topology::greedy_hop(int cur, int dst) const {
+  OREGAMI_ASSERT(cur >= 0 && cur < num_procs() && dst >= 0 &&
+                     dst < num_procs(),
+                 "processor id out of range");
+  const Hop* hops = hop_table_ == nullptr
+                        ? nullptr
+                        : hop_table_->ready.load(std::memory_order_acquire);
+  if (hops == nullptr) {
+    return greedy_hop_slow(cur, dst);
+  }
+  return hops[static_cast<std::size_t>(dst) *
+                  static_cast<std::size_t>(num_procs()) +
+              static_cast<std::size_t>(cur)];
 }
 
 }  // namespace oregami

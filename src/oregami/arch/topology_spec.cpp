@@ -1,5 +1,6 @@
 #include "oregami/arch/topology_spec.hpp"
 
+#include <climits>
 #include <vector>
 
 #include "oregami/support/error.hpp"
@@ -15,6 +16,10 @@ std::vector<int> parse_dims(const std::string& text,
   bool have_digit = false;
   for (const char c : text + "x") {
     if (c >= '0' && c <= '9') {
+      if (value > (INT_MAX - (c - '0')) / 10) {
+        throw MappingError("topology spec '" + spec +
+                           "': dimension overflows int");
+      }
       value = value * 10 + (c - '0');
       have_digit = true;
     } else if (c == 'x') {

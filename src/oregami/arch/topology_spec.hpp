@@ -11,7 +11,9 @@
 namespace oregami {
 
 /// Parses a spec string; throws MappingError with a usage hint on
-/// malformed input.
+/// malformed input, and the factory's reason on a shape the family
+/// does not allow (torus:2x8, ring:2, hypercube:21, mesh:0x4, or one
+/// whose processor count overflows int).
 [[nodiscard]] Topology parse_topology_spec(const std::string& spec);
 
 /// The list of accepted forms (for usage/help text).

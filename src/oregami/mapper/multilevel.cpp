@@ -7,8 +7,8 @@
 #include <utility>
 #include <vector>
 
-#include "oregami/arch/routes.hpp"
 #include "oregami/core/csr_graph.hpp"
+#include "oregami/mapper/baselines.hpp"
 #include "oregami/mapper/nn_embed.hpp"
 #include "oregami/metrics/incremental.hpp"
 #include "oregami/support/deadline.hpp"
@@ -26,25 +26,6 @@ struct Level {
   CsrTaskGraph csr;
   std::vector<std::int32_t> coarse_of_fine;
 };
-
-// Greedy canonical routes for every comm edge under `placement` — the
-// same rule IncrementalCompletion replays on apply_move, so the
-// evaluator starts cache-consistent.
-std::vector<PhaseRouting> initial_routing(const TaskGraph& graph,
-                                          const Topology& topo,
-                                          const std::vector<int>& placement) {
-  std::vector<PhaseRouting> routing(graph.comm_phases().size());
-  for (std::size_t k = 0; k < graph.comm_phases().size(); ++k) {
-    const auto& edges = graph.comm_phases()[k].edges;
-    routing[k].route_of_edge.reserve(edges.size());
-    for (const CommEdge& e : edges) {
-      routing[k].route_of_edge.push_back(greedy_shortest_route(
-          topo, placement[static_cast<std::size_t>(e.src)],
-          placement[static_cast<std::size_t>(e.dst)]));
-    }
-  }
-  return routing;
-}
 
 struct Proposal {
   std::int32_t task = 0;
@@ -248,9 +229,11 @@ MapperReport map_multilevel(const TaskGraph& graph, const Topology& topo,
     if (k == 0) {
       // Finest level scores the *real* task graph (all phases, the
       // true phase expression), so the last sweeps optimise the exact
-      // completion objective.
+      // completion objective. Routes are greedy, the rule
+      // IncrementalCompletion re-routes moved edges with, so the
+      // evaluator starts cache-consistent.
       std::vector<PhaseRouting> routing =
-          initial_routing(graph, topo, placement);
+          route_greedy_shortest(graph, placement, topo);
       IncrementalCompletion inc(graph, topo, placement, std::move(routing),
                                 options.model);
       if (!deadline.passed()) {
@@ -267,7 +250,7 @@ MapperReport map_multilevel(const TaskGraph& graph, const Topology& topo,
       const TaskGraph level_graph =
           levels[static_cast<std::size_t>(k)].csr.to_task_graph();
       std::vector<PhaseRouting> routing =
-          initial_routing(level_graph, topo, placement);
+          route_greedy_shortest(level_graph, placement, topo);
       IncrementalCompletion inc(level_graph, topo, placement,
                                 std::move(routing), options.model);
       if (!deadline.passed()) {

@@ -5,7 +5,7 @@
 #include <limits>
 #include <utility>
 
-#include "oregami/arch/routes.hpp"
+#include "oregami/mapper/baselines.hpp"
 #include "oregami/mapper/driver.hpp"
 #include "oregami/mapper/refine.hpp"
 #include "oregami/metrics/incremental.hpp"
@@ -53,20 +53,7 @@ int nearest_healthy(const FaultedTopology& faults, int from) {
 std::vector<PhaseRouting> reroute_on_faulted(
     const TaskGraph& graph, const FaultedTopology& faults,
     const std::vector<int>& proc_of_task) {
-  const Topology& ftopo = faults.faulted();
-  std::vector<PhaseRouting> routing(graph.comm_phases().size());
-  for (std::size_t k = 0; k < graph.comm_phases().size(); ++k) {
-    const auto& phase = graph.comm_phases()[k];
-    routing[k].route_of_edge.reserve(phase.edges.size());
-    for (const auto& edge : phase.edges) {
-      const int src = proc_of_task[static_cast<std::size_t>(edge.src)];
-      const int dst = proc_of_task[static_cast<std::size_t>(edge.dst)];
-      routing[k].route_of_edge.push_back(
-          src == dst ? Route{{src}, {}}
-                     : greedy_shortest_route(ftopo, src, dst));
-    }
-  }
-  return routing;
+  return route_greedy_shortest(graph, proc_of_task, faults.faulted());
 }
 
 /// Translates faulted-link-id routing back into base link ids.

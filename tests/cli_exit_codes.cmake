@@ -71,6 +71,8 @@ expect_exit(3 --program no-such-program --topology mesh:4x4)
 expect_exit(3 --program jacobi --bind n=8 --bind iters=10
             --topology badfamily:9)
 expect_exit(3 --program jacobi --bind n=8 --bind iters=10
+            --topology torus:2x8)                 # outside the family
+expect_exit(3 --program jacobi --bind n=8 --bind iters=10
             --topology mesh:4x4 --inject-faults p99)
 expect_exit(3 --program jacobi --bind n=8 --bind iters=10
             --topology mesh:4x4 --inject-faults "!!")
@@ -110,6 +112,7 @@ expect_serve_exit(0 "")
 expect_serve_exit(0 "this is not json")
 expect_serve_exit(0 "{\"id\":2,\"program\":\"nope\",\"topology\":\"mesh:4x4\"}")
 expect_serve_exit(0 "{\"id\":3,\"program\":\"jacobi\",\"topology\":\"taurus\"}")
+expect_serve_exit(0 "{\"id\":5,\"program\":\"jacobi\",\"bind\":{\"n\":8,\"iters\":10},\"topology\":\"torus:2x8\"}")
 expect_serve_exit(0 "{\"id\":4,\"program\":\"jacobi\",\"bind\":{\"n\":8,\"iters\":10},\"topology\":\"mesh:4x4\",\"deadline_ms\":-1}"
                   --deterministic)
 

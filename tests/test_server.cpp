@@ -301,6 +301,29 @@ TEST(Serve, ErrorLinesCarryTheContractCodes) {
   expect_contains(text, "deadline expired");
 }
 
+TEST(Serve, TopologyOutsideItsFamilysDomainIsBadInputNotACrash) {
+  // torus:2x8 breaks the torus factory's precondition; the job gets a
+  // code-3 line and the daemon goes on to serve the next job.
+  const std::string stream =
+      "{\"id\":1,\"program\":\"jacobi\",\"bind\":{\"n\":8,\"iters\":10},"
+      "\"topology\":\"torus:2x8\"}\n"
+      "{\"id\":2,\"program\":\"jacobi\",\"bind\":{\"n\":8,\"iters\":10},"
+      "\"topology\":\"mesh:4x4\"}\n";
+  std::istringstream in(stream);
+  std::ostringstream out;
+  const ServerStats stats = serve(in, out, deterministic_options(1));
+  EXPECT_EQ(stats.errors, 1);
+  EXPECT_EQ(stats.ok, 1);
+  std::vector<std::string> lines = split_lines(out.str());
+  std::sort(lines.begin(), lines.end());
+  ASSERT_EQ(lines.size(), 2u);
+  expect_contains(lines[0], "\"id\":\"1\"");
+  expect_contains(lines[0], "\"code\":3");
+  expect_contains(lines[0], "torus dimensions must be >= 3");
+  expect_contains(lines[1], "\"id\":\"2\"");
+  expect_contains(lines[1], "\"status\":\"ok\"");
+}
+
 TEST(Serve, BlankLinesAreKeepAlivesNotJobs) {
   std::istringstream in("\n  \t\n\n");
   std::ostringstream out;

@@ -38,6 +38,35 @@ TEST(TopologySpec, MalformedSpecsThrow) {
   EXPECT_THROW((void)parse_topology_spec("hypercube:3x3"), MappingError);
 }
 
+TEST(TopologySpec, ShapesOutsideAFamilysDomainThrow) {
+  // Each of these used to reach a factory precondition and abort the
+  // process; a daemon must be able to answer them as bad input.
+  for (const char* spec :
+       {"torus:2x8", "torus:8x2", "ring:2", "hypercube:21", "butterfly:13",
+        "butterfly:0", "star:1", "complete:1", "mesh:0x4", "mesh:4x0",
+        "tree:0", "cbt:31", "chain:0", "mesh3d:2x0x2"}) {
+    EXPECT_THROW((void)parse_topology_spec(spec), MappingError) << spec;
+  }
+}
+
+TEST(TopologySpec, CountsThatOverflowIntThrow) {
+  for (const char* spec :
+       {"ring:99999999999", "mesh:4x2147483648", "mesh:65536x65536",
+        "torus:50000x50000", "mesh3d:2048x2048x2048", "complete:70000"}) {
+    EXPECT_THROW((void)parse_topology_spec(spec), MappingError) << spec;
+  }
+}
+
+TEST(TopologySpec, DomainErrorsNameTheReason) {
+  try {
+    (void)parse_topology_spec("torus:2x8");
+    FAIL();
+  } catch (const MappingError& e) {
+    EXPECT_NE(std::string(e.what()).find("torus dimensions must be >= 3"),
+              std::string::npos);
+  }
+}
+
 TEST(TopologySpec, ErrorsIncludeHelp) {
   try {
     (void)parse_topology_spec("nope:1");
