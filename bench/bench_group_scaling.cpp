@@ -2,7 +2,10 @@
 // method is "computing the cycle notation of all the elements", hence
 // O(|X|^2). This harness measures closure generation + cycle-structure
 // computation across circulant sizes and reports the time ratio per
-// size doubling (O(n^2) predicts ~4x, plus comparison overheads).
+// size doubling (O(n^2) predicts ~4x, plus comparison overheads). A
+// second series times the full group_theoretic_contraction (closure,
+// subgroup search, scoring, quotient) on the same circulants at n/8
+// clusters, to check the subgroup search stays within that budget.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -19,10 +22,14 @@ namespace {
 
 using namespace oregami;
 
+TaskGraph circulant_graph(int n) {
+  return larcs::compile_source(larcs::programs::broadcast_vote(n),
+                               {{"n", n}})
+      .graph;
+}
+
 std::vector<Permutation> circulant_generators(int n) {
-  const auto g = larcs::compile_source(larcs::programs::broadcast_vote(n),
-                                       {{"n", n}})
-                     .graph;
+  const auto g = circulant_graph(n);
   std::vector<Permutation> gens;
   for (const auto& phase : g.comm_phases()) {
     gens.push_back(*phase_permutation(phase, n));
@@ -65,6 +72,25 @@ void print_figure() {
   std::fputs(table.to_string().c_str(), stdout);
   std::printf("(pure O(|X|^2) predicts ratio 4; element comparisons add "
               "a further O(|X|) factor at these sizes)\n");
+
+  bench::print_header(
+      "C2: full group_theoretic_contraction on Z_n at n/8 clusters");
+  TextTable contraction({"|X|", "clusters", "time (ms)"});
+  for (int n = 16; n <= 512; n *= 2) {
+    const auto graph = circulant_graph(n);
+    double best = 1e9;
+    for (int rep = 0; rep < 3; ++rep) {
+      const auto start = std::chrono::steady_clock::now();
+      const auto outcome = group_theoretic_contraction(graph, n / 8);
+      benchmark::DoNotOptimize(outcome.status);
+      best = std::min(best, std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - start)
+                                .count());
+    }
+    contraction.add_row({std::to_string(n), std::to_string(n / 8),
+                         format_fixed(best * 1e3, 3)});
+  }
+  std::fputs(contraction.to_string().c_str(), stdout);
 }
 
 void BM_GroupGeneration(benchmark::State& state) {
@@ -91,6 +117,16 @@ void BM_CycleNotationAllElements(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CycleNotationAllElements)->Arg(64)->Arg(256)->Arg(1024);
+
+void BM_GroupContraction(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const auto graph = circulant_graph(n);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(group_theoretic_contraction(graph, n / 8));
+  }
+  state.counters["X"] = n;
+}
+BENCHMARK(BM_GroupContraction)->Arg(16)->Arg(64)->Arg(512);
 
 }  // namespace
 

@@ -1,6 +1,7 @@
 #include "oregami/group/cayley.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <set>
 #include <tuple>
 
@@ -9,17 +10,10 @@
 namespace oregami {
 
 CayleyGraph cayley_graph(const PermutationGroup& group) {
-  CayleyGraph cg;
-  cg.num_nodes = static_cast<int>(group.order());
-  const auto& gens = group.generator_indices();
-  for (std::size_t a = 0; a < group.order(); ++a) {
-    for (std::size_t gi = 0; gi < gens.size(); ++gi) {
-      const std::size_t b = group.compose(a, gens[gi]);
-      cg.edges.push_back({static_cast<int>(a), static_cast<int>(b),
-                          static_cast<int>(gi)});
-    }
-  }
-  return cg;
+  // The quotient by the trivial subgroup: one coset per element.
+  std::vector<int> self(group.order());
+  std::iota(self.begin(), self.end(), 0);
+  return quotient_cayley_graph(group, self);
 }
 
 CayleyGraph quotient_cayley_graph(const PermutationGroup& group,

@@ -7,12 +7,31 @@
 
 namespace oregami {
 
-PermutationGroup::PermutationGroup(
-    int degree, std::vector<Permutation> elements,
-    std::vector<std::size_t> generator_indices)
-    : degree_(degree),
-      elements_(std::move(elements)),
-      generator_indices_(std::move(generator_indices)) {}
+PermutationGroup::PermutationGroup(int degree,
+                                   std::vector<Permutation> elements)
+    : degree_(degree), elements_(std::move(elements)) {
+  if (order() == static_cast<std::size_t>(degree_)) {
+    by_point_.assign(order(), order());
+    for (std::size_t i = 0; i < order(); ++i) {
+      auto& slot = by_point_[static_cast<std::size_t>(elements_[i](0))];
+      if (slot != order()) {
+        by_point_.clear();  // two elements agree on 0: not regular
+        break;
+      }
+      slot = i;
+    }
+  }
+  inverse_.resize(order());
+  for (std::size_t a = 0; a < order(); ++a) {
+    // With a point index, a^-1 is the element sending 0 to a^-1(0).
+    const auto& image = elements_[a].image();
+    inverse_[a] = by_point_.empty()
+                      ? index_of(elements_[a].inverse()).value()
+                      : by_point_[static_cast<std::size_t>(
+                            std::find(image.begin(), image.end(), 0) -
+                            image.begin())];
+  }
+}
 
 std::optional<PermutationGroup> PermutationGroup::generate(
     const std::vector<Permutation>& generators, std::size_t max_order) {
@@ -44,25 +63,15 @@ std::optional<PermutationGroup> PermutationGroup::generate(
     frontier = std::move(next);
   }
 
-  std::vector<Permutation> elements(closed.begin(), closed.end());
-  // std::set orders lexicographically by image table, so the identity
-  // (0,1,2,...) is first only if no element maps 0 below... it is the
-  // minimum: any other permutation's image differs and the identity's
-  // table (0,1,...,n-1) is lexicographically minimal among bijections
-  // that fix nothing smaller. That is not true in general (e.g. image
-  // (0,2,1) > identity, but (0,1,...) is minimal since any bijection's
-  // first differing position holds a larger value). Assert it.
-  OREGAMI_ASSERT(elements.front().is_identity(),
+  // std::set orders by image table, and the identity's (0, 1, ..., n-1)
+  // is the smallest bijection's: it sorts first.
+  PermutationGroup group(degree, {closed.begin(), closed.end()});
+  OREGAMI_ASSERT(group.element(0).is_identity(),
                  "identity must sort first among group elements");
-
-  std::vector<std::size_t> gen_idx;
   for (const auto& g : generators) {
-    const auto it = std::lower_bound(elements.begin(), elements.end(), g);
-    OREGAMI_ASSERT(it != elements.end() && *it == g,
-                   "generator missing from its own closure");
-    gen_idx.push_back(static_cast<std::size_t>(it - elements.begin()));
+    group.generator_indices_.push_back(group.index_of(g).value());
   }
-  return PermutationGroup(degree, std::move(elements), std::move(gen_idx));
+  return group;
 }
 
 std::optional<std::size_t> PermutationGroup::index_of(
@@ -75,14 +84,12 @@ std::optional<std::size_t> PermutationGroup::index_of(
 }
 
 std::size_t PermutationGroup::compose(std::size_t a, std::size_t b) const {
+  if (!by_point_.empty()) {
+    const auto a0 = static_cast<std::size_t>(elements_[a].image()[0]);
+    return by_point_[static_cast<std::size_t>(elements_[b].image()[a0])];
+  }
   const auto idx = index_of(elements_[a].then(elements_[b]));
   OREGAMI_ASSERT(idx.has_value(), "group not closed under composition");
-  return *idx;
-}
-
-std::size_t PermutationGroup::inverse(std::size_t a) const {
-  const auto idx = index_of(elements_[a].inverse());
-  OREGAMI_ASSERT(idx.has_value(), "group not closed under inversion");
   return *idx;
 }
 
@@ -103,27 +110,15 @@ bool PermutationGroup::is_transitive() const {
 }
 
 bool PermutationGroup::acts_regularly() const {
-  if (order() != static_cast<std::size_t>(degree_)) {
-    return false;
-  }
-  if (!is_transitive()) {
-    return false;
-  }
-  return std::all_of(elements_.begin(), elements_.end(),
-                     [](const Permutation& e) {
-                       return e.has_uniform_cycle_length();
-                     });
+  // |G| = |X| with distinct images of 0 makes G transitive with trivial
+  // stabilisers, so every element's cycles share its order as length.
+  return !by_point_.empty();
 }
 
 std::size_t PermutationGroup::element_mapping_base_to(int x) const {
   OREGAMI_ASSERT(x >= 0 && x < degree_, "point out of range");
-  for (std::size_t i = 0; i < elements_.size(); ++i) {
-    if (elements_[i](0) == x) {
-      return i;
-    }
-  }
-  OREGAMI_ASSERT(false, "regular action must reach every point from 0");
-  return 0;
+  OREGAMI_ASSERT(acts_regularly(), "needs a regular action");
+  return by_point_[static_cast<std::size_t>(x)];
 }
 
 std::vector<std::size_t> PermutationGroup::cyclic_subgroup(
@@ -140,24 +135,27 @@ std::vector<std::size_t> PermutationGroup::cyclic_subgroup(
 
 std::vector<std::size_t> PermutationGroup::subgroup_closure(
     std::vector<std::size_t> seed) const {
-  std::set<std::size_t> closed(seed.begin(), seed.end());
-  closed.insert(0);
-  std::vector<std::size_t> frontier(closed.begin(), closed.end());
-  while (!frontier.empty()) {
-    std::vector<std::size_t> next;
-    for (const std::size_t e : frontier) {
-      for (const std::size_t s : seed) {
-        for (const std::size_t candidate :
-             {compose(e, s), compose(e, inverse(s))}) {
-          if (closed.insert(candidate).second) {
-            next.push_back(candidate);
-          }
-        }
-      }
+  // The member list doubles as the BFS queue.
+  std::vector<char> is_member(order(), 0);
+  std::vector<std::size_t> members;
+  const auto add = [&](std::size_t e) {
+    if (is_member[e] == 0) {
+      is_member[e] = 1;
+      members.push_back(e);
     }
-    frontier = std::move(next);
+  };
+  add(0);
+  for (const std::size_t s : seed) {
+    add(s);
   }
-  return {closed.begin(), closed.end()};
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    for (const std::size_t s : seed) {
+      add(compose(members[i], s));
+      add(compose(members[i], inverse(s)));
+    }
+  }
+  std::sort(members.begin(), members.end());
+  return members;
 }
 
 bool PermutationGroup::is_normal(
@@ -194,22 +192,30 @@ std::vector<int> PermutationGroup::right_cosets(
   return coset_of;
 }
 
+namespace {
+
+/// Distinct subgroups ordered by size, then lexicographically (the set
+/// already holds the lexicographic order).
+std::vector<std::vector<std::size_t>> by_size(
+    const std::set<std::vector<std::size_t>>& distinct) {
+  std::vector<std::vector<std::size_t>> result(distinct.begin(),
+                                               distinct.end());
+  std::stable_sort(result.begin(), result.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.size() < b.size();
+                   });
+  return result;
+}
+
+}  // namespace
+
 std::vector<std::vector<std::size_t>> PermutationGroup::cyclic_subgroups()
     const {
   std::set<std::vector<std::size_t>> distinct;
   for (std::size_t a = 0; a < order(); ++a) {
     distinct.insert(cyclic_subgroup(a));
   }
-  std::vector<std::vector<std::size_t>> result(distinct.begin(),
-                                               distinct.end());
-  std::sort(result.begin(), result.end(),
-            [](const auto& a, const auto& b) {
-              if (a.size() != b.size()) {
-                return a.size() < b.size();
-              }
-              return a < b;
-            });
-  return result;
+  return by_size(distinct);
 }
 
 std::vector<std::vector<std::size_t>> PermutationGroup::all_subgroups(
@@ -217,27 +223,23 @@ std::vector<std::vector<std::size_t>> PermutationGroup::all_subgroups(
   OREGAMI_ASSERT(order() <= 64,
                  "all_subgroups is guarded to small groups (|G| <= 64)");
   std::set<std::vector<std::size_t>> distinct;
-  distinct.insert({0});
+  std::vector<std::vector<std::size_t>> cyclic(order());
   for (std::size_t a = 0; a < order(); ++a) {
-    distinct.insert(cyclic_subgroup(a));
+    cyclic[a] = cyclic_subgroup(a);
+    distinct.insert(cyclic[a]);
   }
-  if (max_generators >= 2) {
-    for (std::size_t a = 1; a < order(); ++a) {
-      for (std::size_t b = a + 1; b < order(); ++b) {
+  const auto in_cyclic = [&](std::size_t a, std::size_t b) {
+    return std::binary_search(cyclic[a].begin(), cyclic[a].end(), b);
+  };
+  for (std::size_t a = 1; max_generators >= 2 && a < order(); ++a) {
+    for (std::size_t b = a + 1; b < order(); ++b) {
+      // A pair inside one cyclic subgroup closes to it: already listed.
+      if (!in_cyclic(a, b) && !in_cyclic(b, a)) {
         distinct.insert(subgroup_closure({a, b}));
       }
     }
   }
-  std::vector<std::vector<std::size_t>> result(distinct.begin(),
-                                               distinct.end());
-  std::sort(result.begin(), result.end(),
-            [](const auto& a, const auto& b) {
-              if (a.size() != b.size()) {
-                return a.size() < b.size();
-              }
-              return a < b;
-            });
-  return result;
+  return by_size(distinct);
 }
 
 }  // namespace oregami

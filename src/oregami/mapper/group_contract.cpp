@@ -1,6 +1,6 @@
 #include "oregami/mapper/group_contract.hpp"
 
-#include <algorithm>
+#include <set>
 
 #include "oregami/support/error.hpp"
 
@@ -132,38 +132,28 @@ GroupContractOutcome group_theoretic_contraction(const TaskGraph& graph,
     return outcome;
   }
 
-  // Task <-> element correspondence: task x <-> the unique g with
-  // g(0) = x.
-  std::vector<std::size_t> element_of_task(static_cast<std::size_t>(n));
-  for (int x = 0; x < n; ++x) {
-    element_of_task[static_cast<std::size_t>(x)] =
-        group->element_mapping_base_to(x);
-  }
-
   // 4. Enumerate candidate subgroups of order |G| / num_clusters.
   const auto target_order =
       static_cast<std::size_t>(n / num_clusters);
+  //    Each subgroup is kept at its first occurrence only.
   std::vector<std::vector<std::size_t>> candidates;
-  for (const std::size_t gen_idx : group->generator_indices()) {
-    const auto sub = group->cyclic_subgroup(gen_idx);
-    if (sub.size() == target_order) {
+  std::set<std::vector<std::size_t>> seen;
+  const auto consider = [&](const std::vector<std::size_t>& sub) {
+    if (sub.size() == target_order && seen.insert(sub).second) {
       candidates.push_back(sub);
     }
+  };
+  for (const std::size_t gen_idx : group->generator_indices()) {
+    consider(group->cyclic_subgroup(gen_idx));
   }
   for (const auto& sub : group->cyclic_subgroups()) {
-    if (sub.size() == target_order) {
-      candidates.push_back(sub);
-    }
+    consider(sub);
   }
   if (group->order() <= 64) {
     for (const auto& sub : group->all_subgroups()) {
-      if (sub.size() == target_order) {
-        candidates.push_back(sub);
-      }
+      consider(sub);
     }
   }
-  candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                   candidates.end());
   if (candidates.empty()) {
     outcome.status = GroupContractStatus::NoSuitableSubgroup;
     return outcome;
@@ -186,9 +176,9 @@ GroupContractOutcome group_theoretic_contraction(const TaskGraph& graph,
     s.normal = group->is_normal(sub);
     s.coset_of = group->right_cosets(sub);
     s.cluster_of_task.resize(static_cast<std::size_t>(n));
-    for (int x = 0; x < n; ++x) {
+    for (int x = 0; x < n; ++x) {  // task x <-> the g with g(0) = x
       s.cluster_of_task[static_cast<std::size_t>(x)] =
-          s.coset_of[element_of_task[static_cast<std::size_t>(x)]];
+          s.coset_of[group->element_mapping_base_to(x)];
     }
     s.internalized =
         internalized_per_cluster(graph, s.cluster_of_task, num_clusters);

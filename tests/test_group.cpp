@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <set>
+#include <string>
+#include <utility>
 
 #include "oregami/group/cayley.hpp"
 #include "oregami/group/perm_group.hpp"
@@ -201,6 +205,144 @@ TEST(PermGroup, SubgroupClosureGeneratesKlein) {
   const auto all = group->all_subgroups();
   // Klein four-group: {e}, three order-2 subgroups, itself.
   EXPECT_EQ(all.size(), 5u);
+}
+
+// --- index arithmetic ----------------------------------------------------
+
+Permutation from_image_fn(int n, const std::function<int(int)>& f) {
+  std::vector<int> image(static_cast<std::size_t>(n));
+  for (int x = 0; x < n; ++x) {
+    image[static_cast<std::size_t>(x)] = f(x);
+  }
+  return Permutation(std::move(image));
+}
+
+/// compose/inverse on indices must agree with composing and inverting
+/// the permutations themselves, for every pair of elements.
+void expect_index_arithmetic_matches_permutations(
+    const PermutationGroup& group) {
+  for (std::size_t a = 0; a < group.order(); ++a) {
+    const auto& pa = group.element(a);
+    ASSERT_EQ(group.inverse(a), group.index_of(pa.inverse()));
+    for (std::size_t b = 0; b < group.order(); ++b) {
+      ASSERT_EQ(group.compose(a, b), group.index_of(pa.then(group.element(b))))
+          << "a=" << a << " b=" << b;
+    }
+  }
+}
+
+/// Regular actions take the point-index path: element_mapping_base_to(x)
+/// is the one element sending 0 to x.
+void expect_regular_group(const std::vector<Permutation>& gens) {
+  const int n = gens.front().degree();
+  const auto group =
+      PermutationGroup::generate(gens, static_cast<std::size_t>(n));
+  ASSERT_TRUE(group.has_value());
+  ASSERT_TRUE(group->acts_regularly());
+  expect_index_arithmetic_matches_permutations(*group);
+  for (int x = 0; x < n; ++x) {
+    const std::size_t g = group->element_mapping_base_to(x);
+    EXPECT_EQ(group->element(g)(0), x);
+    for (std::size_t h = 0; h < group->order(); ++h) {
+      EXPECT_TRUE(h == g || group->element(h)(0) != x);
+    }
+  }
+}
+
+/// Non-regular actions take the fallback lookup; element_mapping_base_to
+/// is undefined there and asserts.
+void expect_non_regular_group(const std::vector<Permutation>& gens,
+                              std::size_t expected_order) {
+  const auto group = PermutationGroup::generate(gens, 1000);
+  ASSERT_TRUE(group.has_value());
+  ASSERT_EQ(group->order(), expected_order);
+  EXPECT_FALSE(group->acts_regularly());
+  expect_index_arithmetic_matches_permutations(*group);
+  EXPECT_DEATH((void)group->element_mapping_base_to(0), "regular action");
+}
+
+TEST(PermGroupIndex, CyclicGroupsZ1ToZ40) {
+  for (int n = 1; n <= 40; ++n) {
+    SCOPED_TRACE(n);
+    expect_regular_group({rotation(n, 1)});
+  }
+}
+
+TEST(PermGroupIndex, ElementaryAbelianTwoGroups) {
+  for (int k = 1; k <= 5; ++k) {
+    SCOPED_TRACE(k);
+    std::vector<Permutation> gens;
+    for (int j = 0; j < k; ++j) {
+      gens.push_back(
+          from_image_fn(1 << k, [j](int x) { return x ^ (1 << j); }));
+    }
+    expect_regular_group(gens);
+  }
+}
+
+TEST(PermGroupIndex, TorusProductsZrTimesZc) {
+  for (const auto& [r, c] :
+       {std::pair{2, 3}, {3, 4}, {4, 4}, {2, 6}, {5, 3}}) {
+    SCOPED_TRACE(std::to_string(r) + "x" + std::to_string(c));
+    // Point x is cell (x / c, x % c); one shift per torus axis.
+    const auto down = [r, c](int x) { return ((x / c + 1) % r) * c + x % c; };
+    const auto right = [c](int x) { return x / c * c + (x % c + 1) % c; };
+    expect_regular_group(
+        {from_image_fn(r * c, down), from_image_fn(r * c, right)});
+  }
+}
+
+TEST(PermGroupIndex, DihedralGroupsOnNPoints) {
+  for (int n = 3; n <= 10; ++n) {
+    SCOPED_TRACE(n);
+    expect_non_regular_group(
+        {rotation(n, 1), from_image_fn(n, [n](int x) { return (n - x) % n; })},
+        static_cast<std::size_t>(2 * n));
+  }
+}
+
+TEST(PermGroupIndex, SymmetricGroupsS4AndS5) {
+  expect_non_regular_group(
+      {Permutation::from_cycles(4, "(0 1)"), rotation(4, 1)}, 24);
+  expect_non_regular_group(
+      {Permutation::from_cycles(5, "(0 1)"), rotation(5, 1)}, 120);
+}
+
+TEST(PermGroupIndex, IntransitiveGroupOfOrderEqualToDegree) {
+  // |G| = |X| = 4 but 0 only reaches {0, 1}: no point index.
+  expect_non_regular_group({Permutation::from_cycles(4, "(0 1)"),
+                            Permutation::from_cycles(4, "(2 3)")},
+                           4);
+}
+
+TEST(PermGroupIndex, AllSubgroupCountsMatchReferences) {
+  // Every subgroup of Z_12, D_4 and S_4 is 2-generated, so the count is
+  // the full subgroup count.
+  const auto z12 = PermutationGroup::generate({rotation(12, 1)}, 12);
+  ASSERT_TRUE(z12.has_value());
+  EXPECT_EQ(z12->all_subgroups().size(), 6u);  // one per divisor of 12
+  const auto d4 = PermutationGroup::generate(
+      {rotation(4, 1), Permutation::from_cycles(4, "(1 3)")}, 8);
+  ASSERT_TRUE(d4.has_value());
+  EXPECT_EQ(d4->all_subgroups().size(), 10u);
+  const auto s4 = PermutationGroup::generate(
+      {Permutation::from_cycles(4, "(0 1)"), rotation(4, 1)}, 24);
+  ASSERT_TRUE(s4.has_value());
+  EXPECT_EQ(s4->all_subgroups().size(), 30u);
+
+  // all_subgroups skips pairs inside one cyclic subgroup; closing every
+  // pair instead must find the same set.
+  for (const auto* group : {&*z12, &*d4, &*s4}) {
+    std::set<std::vector<std::size_t>> every_pair;
+    for (std::size_t a = 0; a < group->order(); ++a) {
+      for (std::size_t b = a; b < group->order(); ++b) {
+        every_pair.insert(group->subgroup_closure({a, b}));
+      }
+    }
+    const auto all = group->all_subgroups();
+    EXPECT_EQ(std::set<std::vector<std::size_t>>(all.begin(), all.end()),
+              every_pair);
+  }
 }
 
 // --- Cayley graphs --------------------------------------------------------

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
+#include <map>
 #include <set>
+#include <sstream>
 
 #include "oregami/larcs/compiler.hpp"
 #include "oregami/larcs/programs.hpp"
@@ -180,6 +183,67 @@ TEST(GroupContract, NbodyChordalRingContracts) {
   for (const int s : sizes) {
     EXPECT_EQ(s, 4);
   }
+}
+
+/// The pinned contraction sweep: status, subgroup, normal flag,
+/// cluster_of_task and description for every admissible cluster count
+/// (2, 4, 8 dividing n) of broadcast_vote, ring_pipeline and
+/// torus_stencil. tests/golden/group_contract.txt holds this text.
+std::string contraction_golden_text() {
+  struct Case {
+    std::string label;
+    std::string source;
+    std::map<std::string, long> bindings;
+  };
+  std::vector<Case> cases;
+  for (const int n : {8, 16, 32, 64}) {
+    cases.push_back({"broadcast_vote n=" + std::to_string(n),
+                     larcs::programs::broadcast_vote(n), {{"n", n}}});
+  }
+  for (const int n : {16, 24, 32}) {
+    cases.push_back({"ring_pipeline n=" + std::to_string(n),
+                     larcs::programs::ring_pipeline(),
+                     {{"n", n}, {"stages", 4}}});
+  }
+  for (const int c : {4, 6}) {
+    cases.push_back({"torus_stencil 4x" + std::to_string(c),
+                     larcs::programs::torus_stencil(),
+                     {{"r", 4}, {"c", c}, {"iters", 1}}});
+  }
+  std::ostringstream out;
+  for (const auto& c : cases) {
+    const auto graph = larcs::compile_source(c.source, c.bindings).graph;
+    for (const int clusters : {2, 4, 8}) {
+      if (graph.num_tasks() % clusters != 0) {
+        continue;
+      }
+      const auto outcome = group_theoretic_contraction(graph, clusters);
+      out << c.label << " clusters=" << clusters << "\n"
+          << "  status: " << to_string(outcome.status) << "\n";
+      if (!outcome.result) {
+        continue;
+      }
+      const auto& r = *outcome.result;
+      out << "  subgroup:";
+      for (const std::size_t e : r.subgroup) {
+        out << ' ' << e;
+      }
+      out << "\n  normal: " << r.subgroup_normal << "\n  cluster_of_task:";
+      for (const int k : r.contraction.cluster_of_task) {
+        out << ' ' << k;
+      }
+      out << "\n  description: " << r.description << "\n";
+    }
+  }
+  return out.str();
+}
+
+TEST(GroupContract, GoldenContractionSweepIsByteIdentical) {
+  std::ifstream in(std::string(OREGAMI_GOLDEN_DIR) + "/group_contract.txt");
+  ASSERT_TRUE(in) << "missing golden file group_contract.txt";
+  std::ostringstream golden;
+  golden << in.rdbuf();
+  EXPECT_EQ(contraction_golden_text(), golden.str());
 }
 
 TEST(GroupContract, StatusStrings) {
