@@ -66,18 +66,10 @@ void build_csr_from_pairs(int n,
 CsrTaskGraph CsrTaskGraph::from_task_graph(const TaskGraph& graph) {
   const int n = graph.num_tasks();
   CsrTaskGraph out;
-  out.vertex_weight.assign(n, 0);
 
-  const std::vector<long> comm_mult = graph.comm_phase_multiplicity();
-  const std::vector<long> exec_mult = graph.exec_phase_multiplicity();
-
-  for (std::size_t k = 0; k < graph.exec_phases().size(); ++k) {
-    const ExecPhase& phase = graph.exec_phases()[k];
-    if (exec_mult[k] == 0 || phase.cost.empty()) continue;
-    for (int t = 0; t < n; ++t) {
-      out.vertex_weight[t] += phase.cost[t] * exec_mult[k];
-    }
-  }
+  const PhaseMultiplicity mult = graph.phase_multiplicity();
+  const std::vector<long>& comm_mult = mult.comm;
+  out.vertex_weight = graph.exec_weight_per_task(mult.exec);
   out.total_vertex_weight = 0;
   for (std::int64_t w : out.vertex_weight) out.total_vertex_weight += w;
 

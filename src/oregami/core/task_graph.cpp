@@ -1,7 +1,6 @@
 #include "oregami/core/task_graph.hpp"
 
-#include <algorithm>
-
+#include "oregami/core/phase_fold.hpp"
 #include "oregami/support/error.hpp"
 
 namespace oregami {
@@ -54,40 +53,40 @@ PhaseTree PhaseTree::repeat(PhaseTree body, long count) {
 }
 
 std::string PhaseTree::to_string(
-    const std::vector<CommPhase>& comm_phases,
-    const std::vector<ExecPhase>& exec_phases) const {
+    const std::function<std::string(const PhaseTree& leaf)>& leaf_name)
+    const {
+  const auto joined = [&](const char* separator) {
+    std::string out = "(";
+    for (std::size_t i = 0; i < children.size(); ++i) {
+      out += (i == 0 ? "" : separator) + children[i].to_string(leaf_name);
+    }
+    return out + ")";
+  };
   switch (kind) {
     case Kind::Idle:
       return "eps";
     case Kind::Comm:
-      return comm_phases[static_cast<std::size_t>(phase_index)].name;
     case Kind::Exec:
-      return exec_phases[static_cast<std::size_t>(phase_index)].name;
-    case Kind::Seq: {
-      std::string out = "(";
-      for (std::size_t i = 0; i < children.size(); ++i) {
-        if (i != 0) {
-          out += "; ";
-        }
-        out += children[i].to_string(comm_phases, exec_phases);
-      }
-      return out + ")";
-    }
-    case Kind::Par: {
-      std::string out = "(";
-      for (std::size_t i = 0; i < children.size(); ++i) {
-        if (i != 0) {
-          out += " || ";
-        }
-        out += children[i].to_string(comm_phases, exec_phases);
-      }
-      return out + ")";
-    }
+      return leaf_name(*this);
+    case Kind::Seq:
+      return joined("; ");
+    case Kind::Par:
+      return joined(" || ");
     case Kind::Repeat:
-      return children.front().to_string(comm_phases, exec_phases) + "^" +
+      return children.front().to_string(leaf_name) + "^" +
              std::to_string(count);
   }
   return "?";
+}
+
+std::string PhaseTree::to_string(
+    const std::vector<CommPhase>& comm_phases,
+    const std::vector<ExecPhase>& exec_phases) const {
+  return to_string([&](const PhaseTree& leaf) {
+    const auto k = static_cast<std::size_t>(leaf.phase_index);
+    return leaf.kind == Kind::Comm ? comm_phases[k].name
+                                   : exec_phases[k].name;
+  });
 }
 
 int TaskGraph::add_task(std::string name, std::vector<long> label) {
@@ -183,55 +182,35 @@ Graph TaskGraph::aggregate_graph() const {
   return g;
 }
 
-namespace {
-
-void accumulate_multiplicity(const PhaseTree& node, long factor,
-                             std::vector<long>& comm,
-                             std::vector<long>& exec) {
-  switch (node.kind) {
-    case PhaseTree::Kind::Idle:
-      return;
-    case PhaseTree::Kind::Comm:
-      comm[static_cast<std::size_t>(node.phase_index)] += factor;
-      return;
-    case PhaseTree::Kind::Exec:
-      exec[static_cast<std::size_t>(node.phase_index)] += factor;
-      return;
-    case PhaseTree::Kind::Seq:
-    case PhaseTree::Kind::Par:
-      for (const auto& child : node.children) {
-        accumulate_multiplicity(child, factor, comm, exec);
+PhaseMultiplicity TaskGraph::phase_multiplicity() const {
+  PhaseMultiplicity mult{std::vector<long>(comm_phases_.size(), 0),
+                         std::vector<long>(exec_phases_.size(), 0)};
+  const auto count_into = [](std::vector<long>& into) {
+    return [&into](int k, std::int64_t weight) {
+      long& slot = into[static_cast<std::size_t>(k)];
+      if (__builtin_add_overflow(slot, weight, &slot)) {
+        throw MappingError("phase multiplicity overflows 64 bits");
       }
-      return;
-    case PhaseTree::Kind::Repeat:
-      accumulate_multiplicity(node.children.front(), factor * node.count,
-                              comm, exec);
-      return;
-  }
+      return std::int64_t{0};
+    };
+  };
+  fold_phase_weights(*this, count_into(mult.comm), count_into(mult.exec));
+  return mult;
 }
 
-}  // namespace
-
-std::vector<long> TaskGraph::comm_phase_multiplicity() const {
-  std::vector<long> comm(comm_phases_.size(), 0);
-  std::vector<long> exec(exec_phases_.size(), 0);
-  if (phase_expr_.kind == PhaseTree::Kind::Idle) {
-    std::fill(comm.begin(), comm.end(), 1);
-    return comm;
+std::vector<std::int64_t> TaskGraph::exec_weight_per_task(
+    const std::vector<long>& exec_mult) const {
+  std::vector<std::int64_t> weight(static_cast<std::size_t>(num_tasks()),
+                                   0);
+  for (std::size_t k = 0; k < exec_phases_.size(); ++k) {
+    if (exec_mult[k] == 0) {
+      continue;
+    }
+    for (std::size_t t = 0; t < weight.size(); ++t) {
+      weight[t] += exec_mult[k] * exec_phases_[k].cost[t];
+    }
   }
-  accumulate_multiplicity(phase_expr_, 1, comm, exec);
-  return comm;
-}
-
-std::vector<long> TaskGraph::exec_phase_multiplicity() const {
-  std::vector<long> comm(comm_phases_.size(), 0);
-  std::vector<long> exec(exec_phases_.size(), 0);
-  if (phase_expr_.kind == PhaseTree::Kind::Idle) {
-    std::fill(exec.begin(), exec.end(), 1);
-    return exec;
-  }
-  accumulate_multiplicity(phase_expr_, 1, comm, exec);
-  return exec;
+  return weight;
 }
 
 namespace {

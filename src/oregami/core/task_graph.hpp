@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -56,10 +57,24 @@ struct PhaseTree {
   static PhaseTree repeat(PhaseTree body, long count);
 
   /// Renders with the paper's notation, e.g.
-  /// "((ring; compute1)^8; chordal; compute2)^s" (counts printed).
+  /// "((ring; compute1)^8; chordal; compute2)^s" (counts printed), with
+  /// `leaf_name` naming each Comm/Exec leaf.
+  [[nodiscard]] std::string to_string(
+      const std::function<std::string(const PhaseTree& leaf)>& leaf_name)
+      const;
+
+  /// Same, naming each leaf after its phase.
   [[nodiscard]] std::string to_string(
       const std::vector<CommPhase>& comm_phases,
       const std::vector<ExecPhase>& exec_phases) const;
+};
+
+/// How many times each phase executes according to the phase
+/// expression, index-aligned with TaskGraph::comm_phases() and
+/// exec_phases().
+struct PhaseMultiplicity {
+  std::vector<long> comm;
+  std::vector<long> exec;
 };
 
 /// The task graph: tasks + colored comm phases + exec phases + phase
@@ -117,13 +132,18 @@ class TaskGraph {
   /// NN-Embed operate on.
   [[nodiscard]] Graph aggregate_graph() const;
 
-  /// How many times each comm phase (index-aligned with comm_phases())
-  /// executes according to the phase expression; exec likewise.
+  /// Both multiplicity vectors in one pass over the phase expression.
   /// A phase not mentioned in the expression has multiplicity 0; when
   /// the expression is Idle/default, every phase gets multiplicity 1
-  /// (static fallback).
-  [[nodiscard]] std::vector<long> comm_phase_multiplicity() const;
-  [[nodiscard]] std::vector<long> exec_phase_multiplicity() const;
+  /// (static fallback). Throws MappingError when a multiplicity
+  /// overflows int64.
+  [[nodiscard]] PhaseMultiplicity phase_multiplicity() const;
+
+  /// Multiplicity-weighted execution cost of every task:
+  /// w[t] = sum over exec phases k of exec_mult[k] * cost_k[t], with
+  /// `exec_mult` = phase_multiplicity().exec.
+  [[nodiscard]] std::vector<std::int64_t> exec_weight_per_task(
+      const std::vector<long>& exec_mult) const;
 
   /// Structural checks (edge endpoints in range, cost vector sizes,
   /// phase indices in the expression valid); throws MappingError.

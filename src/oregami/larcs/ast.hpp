@@ -49,6 +49,7 @@ struct Expr {
   BinOp bin_op = BinOp::Add; ///< Binary
   std::vector<ExprPtr> args; ///< Unary(1) / Binary(2) / Call(n)
   SourceLoc loc;
+  int height = 0;            ///< longest path down to a leaf (leaf = 0)
 
   static ExprPtr int_lit(long v, SourceLoc loc = {});
   static ExprPtr var(std::string name, SourceLoc loc = {});
@@ -111,6 +112,7 @@ struct PhaseExprNode {
   ExprPtr count;                        ///< Repeat
   std::vector<PhaseExprNode> children;  ///< Seq/Par/Repeat
   SourceLoc loc;
+  int height = 0;  ///< longest path down to a leaf (leaf = 0)
 
   [[nodiscard]] std::string to_string() const;
 };

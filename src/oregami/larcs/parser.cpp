@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 
 #include "oregami/larcs/lexer.hpp"
 #include "oregami/support/trace.hpp"
@@ -24,12 +25,35 @@ ExprPtr Expr::var(std::string name, SourceLoc loc) {
   return e;
 }
 
+namespace {
+
+LarcsError too_deep(SourceLoc loc) {
+  return LarcsError(
+      "nesting deeper than " + std::to_string(kMaxNesting) + " levels", loc);
+}
+
+/// Height of a node over `args`. Only the parser builds expressions, so
+/// refusing here bounds every expression tree it returns.
+int height_over(const std::vector<ExprPtr>& args, SourceLoc loc) {
+  int height = 0;
+  for (const ExprPtr& arg : args) {
+    height = std::max(height, arg->height + 1);
+  }
+  if (height > kMaxNesting) {
+    throw too_deep(loc);
+  }
+  return height;
+}
+
+}  // namespace
+
 ExprPtr Expr::unary(UnOp op, ExprPtr operand, SourceLoc loc) {
   auto e = std::make_shared<Expr>();
   e->kind = Kind::Unary;
   e->un_op = op;
   e->args.push_back(std::move(operand));
   e->loc = loc;
+  e->height = height_over(e->args, loc);
   return e;
 }
 
@@ -40,6 +64,7 @@ ExprPtr Expr::binary(BinOp op, ExprPtr lhs, ExprPtr rhs, SourceLoc loc) {
   e->args.push_back(std::move(lhs));
   e->args.push_back(std::move(rhs));
   e->loc = loc;
+  e->height = height_over(e->args, loc);
   return e;
 }
 
@@ -50,6 +75,7 @@ ExprPtr Expr::call(std::string name, std::vector<ExprPtr> args,
   e->name = std::move(name);
   e->args = std::move(args);
   e->loc = loc;
+  e->height = height_over(e->args, loc);
   return e;
 }
 
@@ -179,6 +205,31 @@ class Parser {
   }
 
  private:
+  /// One level of parenthesis or unary-operator nesting; refuses the
+  /// level past kMaxNesting (a refused parse is abandoned, so the
+  /// throwing constructor need not restore the count).
+  struct Nested {
+    Nested(int& counter, SourceLoc loc) : depth(counter) {
+      if (++depth > kMaxNesting) {
+        throw too_deep(loc);
+      }
+    }
+    ~Nested() { --depth; }
+    int& depth;
+  };
+
+  /// Sets a phase node's height from its children; refuses it past
+  /// kMaxNesting.
+  static PhaseExprNode capped(PhaseExprNode node) {
+    for (const PhaseExprNode& child : node.children) {
+      node.height = std::max(node.height, child.height + 1);
+    }
+    if (node.height > kMaxNesting) {
+      throw too_deep(node.loc);
+    }
+    return node;
+  }
+
   const Token& current() const { return tokens_[pos_]; }
   const Token& peek(std::size_t offset = 1) const {
     return tokens_[std::min(pos_ + offset, tokens_.size() - 1)];
@@ -348,7 +399,7 @@ class Parser {
       expect(TokenKind::Semicolon);
       seq.children.push_back(parse_phase_par());
     }
-    return seq;
+    return capped(std::move(seq));
   }
 
   /// After the current ';', does a phase expression continue?
@@ -370,7 +421,7 @@ class Parser {
     while (accept(TokenKind::ParBar)) {
       par.children.push_back(parse_phase_rep());
     }
-    return par;
+    return capped(std::move(par));
   }
 
   PhaseExprNode parse_phase_rep() {
@@ -381,7 +432,7 @@ class Parser {
       rep.loc = body.loc;
       rep.count = parse_primary();  // INT | IDENT | ( expr )
       rep.children.push_back(std::move(body));
-      body = std::move(rep);
+      body = capped(std::move(rep));
     }
     return body;
   }
@@ -398,6 +449,7 @@ class Parser {
       node.ref_name = expect(TokenKind::Identifier).text;
       return node;
     }
+    const Nested nested(depth_, current().loc);
     expect(TokenKind::LParen);
     node = parse_phase_expr();
     expect(TokenKind::RParen);
@@ -431,6 +483,7 @@ class Parser {
   ExprPtr parse_not() {
     if (at(TokenKind::KwNot)) {
       const SourceLoc loc = current().loc;
+      const Nested nested(depth_, loc);
       ++pos_;
       return Expr::unary(UnOp::Not, parse_not(), loc);
     }
@@ -494,6 +547,7 @@ class Parser {
   ExprPtr parse_unary() {
     if (at(TokenKind::Minus)) {
       const SourceLoc loc = current().loc;
+      const Nested nested(depth_, loc);
       ++pos_;
       return Expr::unary(UnOp::Neg, parse_unary(), loc);
     }
@@ -507,7 +561,9 @@ class Parser {
     }
     if (at(TokenKind::Identifier)) {
       std::string name = expect(TokenKind::Identifier).text;
-      if (accept(TokenKind::LParen)) {
+      if (at(TokenKind::LParen)) {
+        const Nested nested(depth_, current().loc);
+        ++pos_;
         std::vector<ExprPtr> args;
         if (!at(TokenKind::RParen)) {
           args.push_back(parse_expr());
@@ -520,7 +576,9 @@ class Parser {
       }
       return Expr::var(std::move(name), loc);
     }
-    if (accept(TokenKind::LParen)) {
+    if (at(TokenKind::LParen)) {
+      const Nested nested(depth_, current().loc);
+      ++pos_;
       ExprPtr e = parse_expr();
       expect(TokenKind::RParen);
       return e;
@@ -630,6 +688,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< current Nested levels
 };
 
 }  // namespace

@@ -7,6 +7,13 @@
 
 namespace oregami::larcs {
 
+/// Deepest nesting the parser accepts: both the parenthesis / unary
+/// operator depth and the height of every expression and phase tree it
+/// builds. Deeper input is refused with a located LarcsError, which
+/// bounds the recursion of every tree walk downstream (the corpus and
+/// the samples nest at most 3 deep).
+inline constexpr int kMaxNesting = 256;
+
 /// Parses a complete LaRCS program; throws LarcsError with a source
 /// location on malformed input. Also performs name resolution checks:
 /// duplicate declarations, rules referencing unknown nodetypes,

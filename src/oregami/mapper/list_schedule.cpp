@@ -23,14 +23,14 @@ struct CommVolumes {
   std::vector<std::vector<std::pair<int, std::int64_t>>> in;
 };
 
-CommVolumes weighted_volumes(const TaskGraph& graph) {
+CommVolumes weighted_volumes(const TaskGraph& graph,
+                             const std::vector<long>& mult) {
   const int n = graph.num_tasks();
-  const std::vector<long> mult = graph.comm_phase_multiplicity();
   std::vector<std::tuple<int, int, std::int64_t>> triples;
   const auto& phases = graph.comm_phases();
   for (std::size_t k = 0; k < phases.size(); ++k) {
-    const std::int64_t m = k < mult.size() ? mult[k] : 1;
-    if (m <= 0) {
+    const std::int64_t m = mult[k];
+    if (m == 0) {
       continue;
     }
     for (const CommEdge& e : phases[k].edges) {
@@ -58,26 +58,6 @@ CommVolumes weighted_volumes(const TaskGraph& graph) {
     vols.in[static_cast<std::size_t>(v)].emplace_back(u, total);
   }
   return vols;
-}
-
-/// Mult-weighted execution weight per task: w(t) = sum_k mult_k *
-/// cost_k[t].
-std::vector<std::int64_t> exec_weights(const TaskGraph& graph) {
-  const int n = graph.num_tasks();
-  std::vector<std::int64_t> w(static_cast<std::size_t>(n), 0);
-  const std::vector<long> mult = graph.exec_phase_multiplicity();
-  const auto& phases = graph.exec_phases();
-  for (std::size_t k = 0; k < phases.size(); ++k) {
-    const std::int64_t m = k < mult.size() ? mult[k] : 1;
-    if (m <= 0 || phases[k].cost.empty()) {
-      continue;
-    }
-    for (int t = 0; t < n; ++t) {
-      w[static_cast<std::size_t>(t)] +=
-          m * phases[k].cost[static_cast<std::size_t>(t)];
-    }
-  }
-  return w;
 }
 
 /// Iterative Kosaraju. Returns the SCC id of every task; ids are
@@ -147,8 +127,9 @@ std::vector<std::int64_t> heft_upward_ranks(const TaskGraph& graph,
   if (n == 0) {
     return rank;
   }
-  const CommVolumes vols = weighted_volumes(graph);
-  const std::vector<std::int64_t> w = exec_weights(graph);
+  const PhaseMultiplicity mult = graph.phase_multiplicity();
+  const CommVolumes vols = weighted_volumes(graph, mult.comm);
+  const std::vector<std::int64_t> w = graph.exec_weight_per_task(mult.exec);
   // Ranking charges one nominal hop per message (machine-independent).
   const auto comm_cost = [&model](std::int64_t vol) {
     return vol * model.per_unit_cost + model.hop_latency;
@@ -223,7 +204,8 @@ ListScheduleResult list_schedule(const TaskGraph& graph, const Topology& topo,
     return result;
   }
 
-  const std::vector<std::int64_t> w = exec_weights(graph);
+  const PhaseMultiplicity mult = graph.phase_multiplicity();
+  const std::vector<std::int64_t> w = graph.exec_weight_per_task(mult.exec);
 
   // Placement order: descending rank, ties descending exec weight,
   // then ascending id -- fully deterministic.
@@ -241,7 +223,7 @@ ListScheduleResult list_schedule(const TaskGraph& graph, const Topology& topo,
 
   // Undirected partner volumes (a message in either direction must
   // arrive before the receiver's phase can fire).
-  const CommVolumes vols = weighted_volumes(graph);
+  const CommVolumes vols = weighted_volumes(graph, mult.comm);
   std::vector<std::vector<std::pair<int, std::int64_t>>> partners(
       static_cast<std::size_t>(n));
   for (int u = 0; u < n; ++u) {

@@ -3,13 +3,15 @@
 #include <algorithm>
 #include <string>
 
+#include "oregami/core/phase_fold.hpp"
 #include "oregami/support/error.hpp"
 
 namespace oregami {
 
 std::int64_t comm_phase_time(const TaskGraph& graph, int phase_index,
                              const PhaseRouting& routing,
-                             const Topology& topo, const CostModel& model) {
+                             const Topology& topo, const CostModel& model,
+                             const std::vector<std::int64_t>& link_factor) {
   const auto& phase =
       graph.comm_phases()[static_cast<std::size_t>(phase_index)];
   OREGAMI_ASSERT(routing.route_of_edge.size() == phase.edges.size(),
@@ -23,8 +25,9 @@ std::int64_t comm_phase_time(const TaskGraph& graph, int phase_index,
   for (std::size_t i = 0; i < phase.edges.size(); ++i) {
     const auto& route = routing.route_of_edge[i];
     for (const int link : route.links) {
-      volume_on_link[static_cast<std::size_t>(link)] +=
-          phase.edges[i].volume;
+      const auto l = static_cast<std::size_t>(link);
+      volume_on_link[l] += phase.edges[i].volume *
+                           (link_factor.empty() ? 1 : link_factor[l]);
     }
     max_hops = std::max(max_hops, route.hops());
   }
@@ -32,8 +35,7 @@ std::int64_t comm_phase_time(const TaskGraph& graph, int phase_index,
       volume_on_link.empty()
           ? 0
           : *std::max_element(volume_on_link.begin(), volume_on_link.end());
-  return max_volume * model.per_unit_cost +
-         static_cast<std::int64_t>(max_hops) * model.hop_latency;
+  return model.comm_time(max_volume, max_hops);
 }
 
 std::int64_t exec_phase_time(const TaskGraph& graph, int phase_index,
@@ -50,79 +52,45 @@ std::int64_t exec_phase_time(const TaskGraph& graph, int phase_index,
   return load.empty() ? 0 : *std::max_element(load.begin(), load.end());
 }
 
-namespace {
-
-std::int64_t walk(const PhaseTree& node, const TaskGraph& graph,
-                  const std::vector<int>& proc_of_task,
-                  const std::vector<PhaseRouting>& routing,
-                  const Topology& topo, const CostModel& model) {
-  switch (node.kind) {
-    case PhaseTree::Kind::Idle:
-      return 0;
-    case PhaseTree::Kind::Comm:
-      return comm_phase_time(
-          graph, node.phase_index,
-          routing[static_cast<std::size_t>(node.phase_index)], topo, model);
-    case PhaseTree::Kind::Exec:
-      return exec_phase_time(graph, node.phase_index, proc_of_task,
-                             topo.num_procs());
-    case PhaseTree::Kind::Seq: {
-      std::int64_t total = 0;
-      for (const auto& child : node.children) {
-        total += walk(child, graph, proc_of_task, routing, topo, model);
-      }
-      return total;
-    }
-    case PhaseTree::Kind::Par: {
-      std::int64_t best = 0;
-      for (const auto& child : node.children) {
-        best = std::max(best,
-                        walk(child, graph, proc_of_task, routing, topo,
-                             model));
-      }
-      return best;
-    }
-    case PhaseTree::Kind::Repeat:
-      return node.count * walk(node.children.front(), graph, proc_of_task,
-                               routing, topo, model);
-  }
-  return 0;
-}
-
-}  // namespace
-
 std::int64_t completion_time(const TaskGraph& graph,
                              const std::vector<int>& proc_of_task,
                              const std::vector<PhaseRouting>& routing,
-                             const Topology& topo, const CostModel& model) {
+                             const Topology& topo, const CostModel& model,
+                             const std::vector<std::int64_t>& link_factor) {
   OREGAMI_ASSERT(routing.size() == graph.comm_phases().size(),
                  "routing must cover every phase");
-  if (graph.phase_expr().kind == PhaseTree::Kind::Idle) {
-    // Static fallback: every phase once, sequentially.
-    std::int64_t total = 0;
-    for (std::size_t k = 0; k < graph.comm_phases().size(); ++k) {
-      total += comm_phase_time(graph, static_cast<int>(k), routing[k],
-                               topo, model);
-    }
-    for (std::size_t k = 0; k < graph.exec_phases().size(); ++k) {
-      total += exec_phase_time(graph, static_cast<int>(k), proc_of_task,
-                               topo.num_procs());
-    }
-    return total;
-  }
-  return walk(graph.phase_expr(), graph, proc_of_task, routing, topo,
-              model);
+  return fold_phases(
+      graph,
+      [&](int k) {
+        return comm_phase_time(graph, k,
+                               routing[static_cast<std::size_t>(k)], topo,
+                               model, link_factor);
+      },
+      [&](int k) {
+        return exec_phase_time(graph, k, proc_of_task, topo.num_procs());
+      });
 }
 
 PlacementObjectives extract_objectives(
     const TaskGraph& graph, const std::vector<int>& proc_of_task,
     const std::vector<PhaseRouting>& routing, const Topology& topo,
     const CostModel& model) {
+  OREGAMI_ASSERT(routing.size() == graph.comm_phases().size(),
+                 "routing must cover every phase");
   PlacementObjectives obj;
-  obj.completion =
-      completion_time(graph, proc_of_task, routing, topo, model);
+  for (std::size_t k = 0; k < graph.comm_phases().size(); ++k) {
+    obj.comm_time.push_back(comm_phase_time(graph, static_cast<int>(k),
+                                            routing[k], topo, model));
+  }
+  for (std::size_t k = 0; k < graph.exec_phases().size(); ++k) {
+    obj.exec_time.push_back(exec_phase_time(graph, static_cast<int>(k),
+                                            proc_of_task, topo.num_procs()));
+  }
+  obj.completion = fold_phases(
+      graph, [&](int k) { return obj.comm_time[static_cast<std::size_t>(k)]; },
+      [&](int k) { return obj.exec_time[static_cast<std::size_t>(k)]; });
 
-  const auto comm_mult = graph.comm_phase_multiplicity();
+  const PhaseMultiplicity mult = graph.phase_multiplicity();
   for (std::size_t k = 0; k < graph.comm_phases().size(); ++k) {
     std::int64_t phase_volume = 0;
     for (const auto& e : graph.comm_phases()[k].edges) {
@@ -131,108 +99,25 @@ PlacementObjectives extract_objectives(
         phase_volume += e.volume;
       }
     }
-    obj.external_ipc += phase_volume * comm_mult[k];
+    obj.external_ipc += phase_volume * mult.comm[k];
   }
 
-  const auto exec_mult = graph.exec_phase_multiplicity();
+  const std::vector<std::int64_t> weight =
+      graph.exec_weight_per_task(mult.exec);
   std::vector<std::int64_t> load(static_cast<std::size_t>(topo.num_procs()),
                                  0);
-  for (std::size_t k = 0; k < graph.exec_phases().size(); ++k) {
-    const auto& phase = graph.exec_phases()[k];
-    if (exec_mult[k] <= 0 || phase.cost.empty()) {
-      continue;
-    }
-    for (int t = 0; t < graph.num_tasks(); ++t) {
-      load[static_cast<std::size_t>(
-          proc_of_task[static_cast<std::size_t>(t)])] +=
-          exec_mult[k] * phase.cost[static_cast<std::size_t>(t)];
-    }
+  for (std::size_t t = 0; t < weight.size(); ++t) {
+    load[static_cast<std::size_t>(proc_of_task[t])] += weight[t];
   }
   obj.max_load =
       load.empty() ? 0 : *std::max_element(load.begin(), load.end());
   return obj;
 }
 
-namespace {
-
-/// comm_phase_time with each link's volume weighted by its slowdown.
-std::int64_t degraded_comm_phase_time(const TaskGraph& graph,
-                                      int phase_index,
-                                      const PhaseRouting& routing,
-                                      const FaultedTopology& faults,
-                                      const CostModel& model) {
-  const auto& phase =
-      graph.comm_phases()[static_cast<std::size_t>(phase_index)];
-  OREGAMI_ASSERT(routing.route_of_edge.size() == phase.edges.size(),
-                 "routing must cover the phase");
-  const Topology& topo = faults.base();
-  thread_local std::vector<std::int64_t> volume_on_link;
-  volume_on_link.assign(static_cast<std::size_t>(topo.num_links()), 0);
-  int max_hops = 0;
-  for (std::size_t i = 0; i < phase.edges.size(); ++i) {
-    const auto& route = routing.route_of_edge[i];
-    for (const int link : route.links) {
-      volume_on_link[static_cast<std::size_t>(link)] +=
-          phase.edges[i].volume * faults.link_slowdown(link);
-    }
-    max_hops = std::max(max_hops, route.hops());
-  }
-  const std::int64_t max_volume =
-      volume_on_link.empty()
-          ? 0
-          : *std::max_element(volume_on_link.begin(), volume_on_link.end());
-  return max_volume * model.per_unit_cost +
-         static_cast<std::int64_t>(max_hops) * model.hop_latency;
-}
-
-std::int64_t degraded_walk(const PhaseTree& node, const TaskGraph& graph,
-                           const std::vector<int>& proc_of_task,
-                           const std::vector<PhaseRouting>& routing,
-                           const FaultedTopology& faults,
-                           const CostModel& model) {
-  switch (node.kind) {
-    case PhaseTree::Kind::Idle:
-      return 0;
-    case PhaseTree::Kind::Comm:
-      return degraded_comm_phase_time(
-          graph, node.phase_index,
-          routing[static_cast<std::size_t>(node.phase_index)], faults,
-          model);
-    case PhaseTree::Kind::Exec:
-      return exec_phase_time(graph, node.phase_index, proc_of_task,
-                             faults.base().num_procs());
-    case PhaseTree::Kind::Seq: {
-      std::int64_t total = 0;
-      for (const auto& child : node.children) {
-        total += degraded_walk(child, graph, proc_of_task, routing, faults,
-                               model);
-      }
-      return total;
-    }
-    case PhaseTree::Kind::Par: {
-      std::int64_t best = 0;
-      for (const auto& child : node.children) {
-        best = std::max(best, degraded_walk(child, graph, proc_of_task,
-                                            routing, faults, model));
-      }
-      return best;
-    }
-    case PhaseTree::Kind::Repeat:
-      return node.count * degraded_walk(node.children.front(), graph,
-                                        proc_of_task, routing, faults,
-                                        model);
-  }
-  return 0;
-}
-
-}  // namespace
-
 std::int64_t degraded_completion_time(
     const TaskGraph& graph, const std::vector<int>& proc_of_task,
     const std::vector<PhaseRouting>& routing, const FaultedTopology& faults,
     const CostModel& model) {
-  OREGAMI_ASSERT(routing.size() == graph.comm_phases().size(),
-                 "routing must cover every phase");
   for (int t = 0; t < graph.num_tasks(); ++t) {
     const int p = proc_of_task[static_cast<std::size_t>(t)];
     if (!faults.proc_alive(p)) {
@@ -250,20 +135,46 @@ std::int64_t degraded_completion_time(
       }
     }
   }
-  if (graph.phase_expr().kind == PhaseTree::Kind::Idle) {
-    std::int64_t total = 0;
-    for (std::size_t k = 0; k < graph.comm_phases().size(); ++k) {
-      total += degraded_comm_phase_time(graph, static_cast<int>(k),
-                                        routing[k], faults, model);
+  return completion_time(graph, proc_of_task, routing, faults.base(), model,
+                         faults.link_slowdowns());
+}
+
+void check_model_bound(const TaskGraph& graph, const Topology& topo,
+                       const std::vector<std::int64_t>& link_factor) {
+  const std::int64_t max_link_factor =
+      link_factor.empty()
+          ? 1
+          : *std::max_element(link_factor.begin(), link_factor.end());
+  const PhaseMultiplicity mult = graph.phase_multiplicity();
+  bool overflow = false;
+  const auto mul_add = [&](std::int64_t a, std::int64_t b, std::int64_t c) {
+    std::int64_t out = 0;
+    overflow |= __builtin_mul_overflow(b, c, &out);
+    overflow |= __builtin_add_overflow(a, out, &out);
+    return out;  // a + b * c
+  };
+  std::int64_t bound = 0;
+  for (std::size_t k = 0; k < graph.comm_phases().size(); ++k) {
+    const auto& edges = graph.comm_phases()[k].edges;
+    auto pass = static_cast<std::int64_t>(edges.size());
+    for (const CommEdge& e : edges) {
+      pass = mul_add(pass, e.volume, max_link_factor);
     }
-    for (std::size_t k = 0; k < graph.exec_phases().size(); ++k) {
-      total += exec_phase_time(graph, static_cast<int>(k), proc_of_task,
-                               faults.base().num_procs());
-    }
-    return total;
+    bound = mul_add(bound, mult.comm[k], mul_add(0, pass, topo.num_procs()));
   }
-  return degraded_walk(graph.phase_expr(), graph, proc_of_task, routing,
-                       faults, model);
+  for (std::size_t k = 0; k < graph.exec_phases().size(); ++k) {
+    std::int64_t pass = 0;
+    for (const std::int64_t c : graph.exec_phases()[k].cost) {
+      pass = mul_add(pass, c, 1);
+    }
+    bound = mul_add(bound, mult.exec[k], pass);
+  }
+  if (overflow) {
+    throw MappingError(
+        "the phase expression's repetition counts make the modelled "
+        "completion time overflow 64 bits on " +
+        topo.name());
+  }
 }
 
 }  // namespace oregami

@@ -24,16 +24,25 @@ namespace oregami {
 struct CostModel {
   std::int64_t hop_latency = 1;    ///< per-hop switching cost
   std::int64_t per_unit_cost = 1;  ///< per volume unit per link
+
+  /// A comm phase's time from its bottleneck link volume and its
+  /// longest route.
+  [[nodiscard]] std::int64_t comm_time(std::int64_t max_volume,
+                                       int max_hops) const {
+    return max_volume * per_unit_cost +
+           static_cast<std::int64_t>(max_hops) * hop_latency;
+  }
 };
 
 /// Cost of comm phase `phase_index` under `routing` (that phase's
 /// routes): max over links of serialised volume + latency of the
-/// longest route.
-[[nodiscard]] std::int64_t comm_phase_time(const TaskGraph& graph,
-                                           int phase_index,
-                                           const PhaseRouting& routing,
-                                           const Topology& topo,
-                                           const CostModel& model);
+/// longest route. `link_factor` (index = link id in `topo`; empty means
+/// every factor is 1) weights each link's volume by its slowdown, so
+/// the bottleneck is max over links of (volume * factor).
+[[nodiscard]] std::int64_t comm_phase_time(
+    const TaskGraph& graph, int phase_index, const PhaseRouting& routing,
+    const Topology& topo, const CostModel& model,
+    const std::vector<std::int64_t>& link_factor = {});
 
 /// Cost of exec phase `phase_index`: max over processors of assigned
 /// task cost.
@@ -41,12 +50,17 @@ struct CostModel {
     const TaskGraph& graph, int phase_index,
     const std::vector<int>& proc_of_task, int num_procs);
 
-/// Walks the phase expression. When the graph has no phase expression
+/// Folds the phase times through the phase expression
+/// (core/phase_fold.hpp). When the graph has no phase expression
 /// (Idle), falls back to the sum of every phase executed once.
+/// `link_factor` is as for comm_phase_time: healthy scoring is this
+/// scorer with no factors, degraded_completion_time passes the fault
+/// slowdowns.
 [[nodiscard]] std::int64_t completion_time(
     const TaskGraph& graph, const std::vector<int>& proc_of_task,
     const std::vector<PhaseRouting>& routing, const Topology& topo,
-    const CostModel& model = {});
+    const CostModel& model = {},
+    const std::vector<std::int64_t>& link_factor = {});
 
 /// The three objectives the portfolio's Pareto report ranks a placement
 /// on. All are minimised; all are exact model quantities, so extraction
@@ -60,6 +74,10 @@ struct PlacementObjectives {
   /// Maximum per-processor execution load, multiplicity-weighted and
   /// summed over every exec phase (the load-balance objective).
   std::int64_t max_load = 0;
+  /// One pass of each phase (comm_phase_time(), exec_phase_time()):
+  /// the terms the completion folds through the phase expression.
+  std::vector<std::int64_t> comm_time;
+  std::vector<std::int64_t> exec_time;
 };
 
 /// Extracts all three objectives of a placement in one pass (shared by
@@ -80,5 +98,20 @@ struct PlacementObjectives {
     const TaskGraph& graph, const std::vector<int>& proc_of_task,
     const std::vector<PhaseRouting>& routing, const FaultedTopology& faults,
     const CostModel& model = {});
+
+/// Admission check where a graph meets its machine: throws MappingError
+/// when sum over phases k of mult_k * bound_k overflows int64, bound_k
+/// being a placement-independent upper bound of one pass of phase k
+/// under unit costs, in the analytic model and in the simulator alike:
+///   comm: P * (sum of volumes * max link factor + number of messages),
+///         since a message crosses at most P links and waits at most
+///         for every other message;
+///   exec: sum of task costs.
+/// The same sum bounds the external IPC and the max load, so a pair
+/// that passes cannot overflow any model quantity and the scorers need
+/// no checked arithmetic. `link_factor` is a faulted machine's
+/// per-link slowdown, as for comm_phase_time (empty when healthy).
+void check_model_bound(const TaskGraph& graph, const Topology& topo,
+                       const std::vector<std::int64_t>& link_factor = {});
 
 }  // namespace oregami

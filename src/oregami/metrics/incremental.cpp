@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "oregami/arch/routes.hpp"
+#include "oregami/core/phase_fold.hpp"
 #include "oregami/support/error.hpp"
 #include "oregami/support/trace.hpp"
 
@@ -12,13 +13,6 @@ namespace oregami {
 
 namespace {
 constexpr std::int64_t kNoSecond = std::numeric_limits<std::int64_t>::min();
-
-std::int64_t cost_of(const ExecPhase& phase, int task) {
-  // An empty cost vector means all-zero (TaskGraph contract).
-  return phase.cost.empty()
-             ? 0
-             : phase.cost[static_cast<std::size_t>(task)];
-}
 }  // namespace
 
 IncrementalCompletion::IncrementalCompletion(
@@ -50,6 +44,7 @@ IncrementalCompletion::IncrementalCompletion(
 
   incident_.assign(static_cast<std::size_t>(num_tasks), {});
   comm_.resize(graph_.comm_phases().size());
+  comm_times_.resize(comm_.size());
   for (std::size_t k = 0; k < graph_.comm_phases().size(); ++k) {
     const auto& phase = graph_.comm_phases()[k];
     OREGAMI_ASSERT(routing_[k].route_of_edge.size() == phase.edges.size(),
@@ -59,16 +54,7 @@ IncrementalCompletion::IncrementalCompletion(
     for (std::size_t i = 0; i < phase.edges.size(); ++i) {
       const auto& edge = phase.edges[i];
       OREGAMI_ASSERT(edge.volume >= 0, "negative comm volume");
-      const auto& route = routing_[k].route_of_edge[i];
-      for (const int link : route.links) {
-        state.volume[static_cast<std::size_t>(link)] +=
-            edge.volume * link_weight(link);
-      }
-      const int hb = hop_bucket(route.hops());
-      if (static_cast<int>(state.hops_hist.size()) <= hb) {
-        state.hops_hist.resize(static_cast<std::size_t>(hb) + 1, 0);
-      }
-      ++state.hops_hist[static_cast<std::size_t>(hb)];
+      account_route(state, edge.volume, routing_[k].route_of_edge[i], 1);
       incident_[static_cast<std::size_t>(edge.src)].push_back(
           {static_cast<int>(k), static_cast<int>(i)});
       if (edge.dst != edge.src) {
@@ -76,30 +62,22 @@ IncrementalCompletion::IncrementalCompletion(
             {static_cast<int>(k), static_cast<int>(i)});
       }
     }
-    rebuild_comm_maxima(state);
+    refresh_comm(k);
   }
 
   exec_.resize(graph_.exec_phases().size());
+  exec_times_.resize(exec_.size());
   for (std::size_t k = 0; k < graph_.exec_phases().size(); ++k) {
     const auto& phase = graph_.exec_phases()[k];
     auto& state = exec_[k];
     state.load.assign(static_cast<std::size_t>(num_procs), 0);
     for (int t = 0; t < num_tasks; ++t) {
-      const std::int64_t c = cost_of(phase, t);
+      const std::int64_t c = phase.cost[static_cast<std::size_t>(t)];
       OREGAMI_ASSERT(c >= 0, "negative exec cost");
       state.load[static_cast<std::size_t>(
           proc_of_task_[static_cast<std::size_t>(t)])] += c;
     }
-    rebuild_exec_tracker(state);
-  }
-
-  comm_times_.resize(comm_.size());
-  for (std::size_t k = 0; k < comm_.size(); ++k) {
-    comm_times_[k] = comm_time_of(comm_[k]);
-  }
-  exec_times_.resize(exec_.size());
-  for (std::size_t k = 0; k < exec_.size(); ++k) {
-    exec_times_[k] = exec_[k].max;
+    refresh_exec(k);
   }
   completion_ = combine(comm_times_, exec_times_);
 
@@ -156,7 +134,8 @@ void IncrementalCompletion::trace_phase_counters() const {
   }
 }
 
-void IncrementalCompletion::rebuild_exec_tracker(ExecState& state) const {
+void IncrementalCompletion::refresh_exec(std::size_t k) {
+  ExecState& state = exec_[k];
   state.max = 0;
   state.count_at_max = 0;
   state.second = kNoSecond;
@@ -176,20 +155,41 @@ void IncrementalCompletion::rebuild_exec_tracker(ExecState& state) const {
   if (state.second == kNoSecond) {
     state.second = 0;
   }
+  exec_times_[k] = state.max;
 }
 
-void IncrementalCompletion::rebuild_comm_maxima(CommState& state) const {
+void IncrementalCompletion::refresh_comm(std::size_t k) {
+  CommState& state = comm_[k];
   state.max_volume =
       state.volume.empty()
           ? 0
           : *std::max_element(state.volume.begin(), state.volume.end());
-  state.max_hops = 0;
-  for (std::size_t h = state.hops_hist.size(); h-- > 0;) {
-    if (state.hops_hist[h] > 0) {
-      state.max_hops = static_cast<int>(h);
-      break;
+  state.max_hops = longest_bucket(state.hops_hist);
+  comm_times_[k] = model_.comm_time(state.max_volume, state.max_hops);
+}
+
+int IncrementalCompletion::longest_bucket(const std::vector<int>& hops_hist) {
+  for (std::size_t h = hops_hist.size(); h-- > 0;) {
+    if (hops_hist[h] > 0) {
+      return static_cast<int>(h);
     }
   }
+  return 0;
+}
+
+void IncrementalCompletion::account_route(CommState& state,
+                                          std::int64_t volume,
+                                          const Route& route,
+                                          int sign) const {
+  for (const int link : route.links) {
+    state.volume[static_cast<std::size_t>(link)] +=
+        sign * volume * link_weight(link);
+  }
+  const auto hb = static_cast<std::size_t>(hop_bucket(route.hops()));
+  if (state.hops_hist.size() <= hb) {
+    state.hops_hist.resize(hb + 1, 0);
+  }
+  state.hops_hist[hb] += sign;
 }
 
 Route IncrementalCompletion::route_for(int phase, int edge) const {
@@ -200,58 +200,13 @@ Route IncrementalCompletion::route_for(int phase, int edge) const {
                                proc_of_task_[static_cast<std::size_t>(e.dst)]);
 }
 
-std::int64_t IncrementalCompletion::comm_time_of(
-    const CommState& state) const {
-  return state.max_volume * model_.per_unit_cost +
-         static_cast<std::int64_t>(state.max_hops) * model_.hop_latency;
-}
-
-std::int64_t IncrementalCompletion::walk(
-    const PhaseTree& node, const std::vector<std::int64_t>& comm_times,
-    const std::vector<std::int64_t>& exec_times) const {
-  switch (node.kind) {
-    case PhaseTree::Kind::Idle:
-      return 0;
-    case PhaseTree::Kind::Comm:
-      return comm_times[static_cast<std::size_t>(node.phase_index)];
-    case PhaseTree::Kind::Exec:
-      return exec_times[static_cast<std::size_t>(node.phase_index)];
-    case PhaseTree::Kind::Seq: {
-      std::int64_t total = 0;
-      for (const auto& child : node.children) {
-        total += walk(child, comm_times, exec_times);
-      }
-      return total;
-    }
-    case PhaseTree::Kind::Par: {
-      std::int64_t best = 0;
-      for (const auto& child : node.children) {
-        best = std::max(best, walk(child, comm_times, exec_times));
-      }
-      return best;
-    }
-    case PhaseTree::Kind::Repeat:
-      return node.count *
-             walk(node.children.front(), comm_times, exec_times);
-  }
-  return 0;
-}
-
 std::int64_t IncrementalCompletion::combine(
     const std::vector<std::int64_t>& comm_times,
     const std::vector<std::int64_t>& exec_times) const {
-  if (graph_.phase_expr().kind == PhaseTree::Kind::Idle) {
-    // Static fallback, mirroring completion_time(): every phase once.
-    std::int64_t total = 0;
-    for (const std::int64_t t : comm_times) {
-      total += t;
-    }
-    for (const std::int64_t t : exec_times) {
-      total += t;
-    }
-    return total;
-  }
-  return walk(graph_.phase_expr(), comm_times, exec_times);
+  return fold_phases(
+      graph_,
+      [&](int k) { return comm_times[static_cast<std::size_t>(k)]; },
+      [&](int k) { return exec_times[static_cast<std::size_t>(k)]; });
 }
 
 std::int64_t IncrementalCompletion::delta_move(int task, int to_proc) const {
@@ -267,7 +222,7 @@ std::int64_t IncrementalCompletion::delta_move(int task, int to_proc) const {
   probe_exec_times_ = exec_times_;
   for (std::size_t k = 0; k < exec_.size(); ++k) {
     const std::int64_t c =
-        cost_of(graph_.exec_phases()[k], task);
+        graph_.exec_phases()[k].cost[static_cast<std::size_t>(task)];
     if (c == 0) {
       continue;
     }
@@ -343,13 +298,7 @@ std::int64_t IncrementalCompletion::delta_move(int task, int to_proc) const {
       ++hops_scratch_[static_cast<std::size_t>(hb)];
     }
 
-    int new_max_hops = 0;
-    for (std::size_t h = hops_scratch_.size(); h-- > 0;) {
-      if (hops_scratch_[h] > 0) {
-        new_max_hops = static_cast<int>(h);
-        break;
-      }
-    }
+    const int new_max_hops = longest_bucket(hops_scratch_);
 
     // If some link currently at max_volume is untouched, the old max
     // still stands as a floor and only touched links can exceed it.
@@ -386,8 +335,7 @@ std::int64_t IncrementalCompletion::delta_move(int task, int to_proc) const {
     }
 
     probe_comm_times_[static_cast<std::size_t>(k)] =
-        new_max_volume * model_.per_unit_cost +
-        static_cast<std::int64_t>(new_max_hops) * model_.hop_latency;
+        model_.comm_time(new_max_volume, new_max_hops);
     start = stop;
   }
 
@@ -398,15 +346,15 @@ void IncrementalCompletion::place_task(
     int task, int to_proc, const std::vector<Route>* forced_routes) {
   const int from = proc_of_task_[static_cast<std::size_t>(task)];
   for (std::size_t k = 0; k < exec_.size(); ++k) {
-    const std::int64_t c = cost_of(graph_.exec_phases()[k], task);
+    const std::int64_t c =
+        graph_.exec_phases()[k].cost[static_cast<std::size_t>(task)];
     if (c == 0) {
       continue;
     }
     auto& state = exec_[k];
     state.load[static_cast<std::size_t>(from)] -= c;
     state.load[static_cast<std::size_t>(to_proc)] += c;
-    rebuild_exec_tracker(state);
-    exec_times_[k] = state.max;
+    refresh_exec(k);
   }
 
   proc_of_task_[static_cast<std::size_t>(task)] = to_proc;
@@ -420,32 +368,17 @@ void IncrementalCompletion::place_task(
                            .edges[static_cast<std::size_t>(i)];
     Route& slot = routing_[static_cast<std::size_t>(k)]
                       .route_of_edge[static_cast<std::size_t>(i)];
-    for (const int link : slot.links) {
-      state.volume[static_cast<std::size_t>(link)] -=
-          edge.volume * link_weight(link);
-    }
-    --state.hops_hist[static_cast<std::size_t>(hop_bucket(slot.hops()))];
+    account_route(state, edge.volume, slot, -1);
     slot = forced_routes != nullptr ? (*forced_routes)[j]
                                     : route_for(k, i);
-    for (const int link : slot.links) {
-      state.volume[static_cast<std::size_t>(link)] +=
-          edge.volume * link_weight(link);
-    }
-    const int hb = hop_bucket(slot.hops());
-    if (static_cast<int>(state.hops_hist.size()) <= hb) {
-      state.hops_hist.resize(static_cast<std::size_t>(hb) + 1, 0);
-    }
-    ++state.hops_hist[static_cast<std::size_t>(hb)];
+    account_route(state, edge.volume, slot, 1);
   }
   // Refresh the maxima of each affected phase exactly once.
   for (std::size_t j = 0; j < incident.size(); ++j) {
     if (j > 0 && incident[j].phase == incident[j - 1].phase) {
       continue;
     }
-    auto& state = comm_[static_cast<std::size_t>(incident[j].phase)];
-    rebuild_comm_maxima(state);
-    comm_times_[static_cast<std::size_t>(incident[j].phase)] =
-        comm_time_of(state);
+    refresh_comm(static_cast<std::size_t>(incident[j].phase));
   }
 
   completion_ = combine(comm_times_, exec_times_);

@@ -147,15 +147,18 @@ class IncrementalCompletion {
     std::int64_t old_completion = 0;
   };
 
-  void rebuild_exec_tracker(ExecState& state) const;
-  void rebuild_comm_maxima(CommState& state) const;
+  /// Recomputes phase k's max trackers and its cached phase time.
+  void refresh_exec(std::size_t k);
+  void refresh_comm(std::size_t k);
+  /// Longest route length a hop histogram records (0 when empty).
+  [[nodiscard]] static int longest_bucket(const std::vector<int>& hops_hist);
+  /// Adds (sign 1) or removes (sign -1) one message's link-weighted
+  /// volume along `route` and its hop-histogram entry.
+  void account_route(CommState& state, std::int64_t volume,
+                     const Route& route, int sign) const;
   [[nodiscard]] Route route_for(int phase, int edge) const;
-  [[nodiscard]] std::int64_t comm_time_of(const CommState& state) const;
   [[nodiscard]] std::int64_t combine(
       const std::vector<std::int64_t>& comm_times,
-      const std::vector<std::int64_t>& exec_times) const;
-  [[nodiscard]] std::int64_t walk(
-      const PhaseTree& node, const std::vector<std::int64_t>& comm_times,
       const std::vector<std::int64_t>& exec_times) const;
   void place_task(int task, int to_proc,
                   const std::vector<Route>* forced_routes);

@@ -27,14 +27,12 @@ MappingMetrics compute_metrics(const TaskGraph& graph,
           .tasks_per_proc[static_cast<std::size_t>(
               proc_of_task[static_cast<std::size_t>(t)])];
   }
-  const auto exec_mult = graph.exec_phase_multiplicity();
-  for (std::size_t k = 0; k < graph.exec_phases().size(); ++k) {
-    const auto& phase = graph.exec_phases()[k];
-    for (int t = 0; t < graph.num_tasks(); ++t) {
-      out.load.exec_per_proc[static_cast<std::size_t>(
-          proc_of_task[static_cast<std::size_t>(t)])] +=
-          exec_mult[k] * phase.cost[static_cast<std::size_t>(t)];
-    }
+  const PhaseMultiplicity mult = graph.phase_multiplicity();
+  const std::vector<std::int64_t> weight =
+      graph.exec_weight_per_task(mult.exec);
+  for (std::size_t t = 0; t < weight.size(); ++t) {
+    out.load.exec_per_proc[static_cast<std::size_t>(proc_of_task[t])] +=
+        weight[t];
   }
   out.load.max_tasks = *std::max_element(out.load.tasks_per_proc.begin(),
                                          out.load.tasks_per_proc.end());
@@ -52,7 +50,6 @@ MappingMetrics compute_metrics(const TaskGraph& graph,
                             static_cast<double>(total_exec);
 
   // --- link metrics per phase.
-  const auto comm_mult = graph.comm_phase_multiplicity();
   long total_edges = 0;
   long total_dilation = 0;
   for (std::size_t k = 0; k < graph.comm_phases().size(); ++k) {
@@ -74,7 +71,7 @@ MappingMetrics compute_metrics(const TaskGraph& graph,
       pm.max_dilation = std::max(pm.max_dilation, route.hops());
       phase_dilation += route.hops();
       if (route.hops() > 0) {
-        out.total_ipc += comm_mult[k] * phase.edges[i].volume;
+        out.total_ipc += mult.comm[k] * phase.edges[i].volume;
       }
     }
     pm.avg_dilation =

@@ -92,9 +92,12 @@ CompiledJob compile_job(const WireJob& job) {
   try {
     larcs::Program ast = larcs::parse_program(source);
     larcs::CompiledProgram compiled = larcs::compile(ast, job.bindings);
+    check_model_bound(compiled.graph, topo);
     return CompiledJob{std::move(ast), std::move(compiled),
                        std::move(topo)};
   } catch (const LarcsError& e) {
+    throw WireError(kJobBadInput, prefix + e.what());
+  } catch (const MappingError& e) {
     throw WireError(kJobBadInput, prefix + e.what());
   }
 }

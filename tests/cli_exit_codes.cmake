@@ -78,6 +78,47 @@ expect_exit(3 --program jacobi --bind n=8 --bind iters=10
             --topology mesh:4x4 --inject-faults "!!")
 expect_exit(3 --program jacobi --topology mesh:4x4)  # missing bindings
 
+# 3: LaRCS nested past the parser's cap (256 levels), in the phase
+# expression and in an arithmetic expression. 20 000 levels used to
+# overflow the stack (SIGSEGV); 256 still map.
+function(write_ring_program path phases volume)
+  file(WRITE ${path}
+       "algorithm rep(r);\nnodetype t[i: 0 .. 7];\n"
+       "comphase ring { t(i) -> t((i + 1) mod 8) volume ${volume}; }\n"
+       "exphase work cost 1000;\nphases ${phases};\n")
+endfunction()
+set(NEST_FILE ${CMAKE_CURRENT_BINARY_DIR}/exit_codes_nesting.larcs)
+foreach(depth 256 20000)
+  string(REPEAT "(" ${depth} open)
+  string(REPEAT ")^1" ${depth} close_phases)
+  string(REPEAT "(1 + " ${depth} open_sum)
+  string(REPEAT ")" ${depth} close_sum)
+  if(depth EQUAL 256)
+    set(expected 0)
+  else()
+    set(expected 3)
+  endif()
+  write_ring_program(${NEST_FILE} "${open}ring${close_phases}" 1000)
+  expect_exit(${expected} --larcs ${NEST_FILE} --bind r=1 --topology ring:4)
+  write_ring_program(${NEST_FILE} "ring" "${open_sum}1${close_sum}")
+  expect_exit(${expected} --larcs ${NEST_FILE} --bind r=1 --topology ring:4)
+endforeach()
+
+# 3: repetition counts whose model quantities overflow int64 (they used
+# to print a wrapped completion and exit 0); r=1000 is exact.
+write_ring_program(${NEST_FILE} "((ring; work)^r)^r" 1000)
+expect_exit(3 --larcs ${NEST_FILE} --bind r=4000000000 --topology ring:4)
+expect_exit(3 --larcs ${NEST_FILE} --bind r=3000000000 --topology ring:4)
+execute_process(COMMAND ${OREGAMI_MAP} --larcs ${NEST_FILE} --bind r=1000
+                        --topology ring:4
+                RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_QUIET)
+if(NOT code EQUAL 0 OR NOT out MATCHES "completion time +3001000000\n")
+  message(FATAL_ERROR
+          "oregami_map r=1000: expected completion 3001000000, got "
+          "exit ${code}:\n${out}")
+endif()
+file(REMOVE ${NEST_FILE})
+
 # 4: mapping infeasible (machine fully dead).
 expect_exit(4 --program jacobi --bind n=8 --bind iters=10
             --topology mesh:2x2 --inject-faults p0,p1,p2,p3)
@@ -115,6 +156,13 @@ expect_serve_exit(0 "{\"id\":3,\"program\":\"jacobi\",\"topology\":\"taurus\"}")
 expect_serve_exit(0 "{\"id\":5,\"program\":\"jacobi\",\"bind\":{\"n\":8,\"iters\":10},\"topology\":\"torus:2x8\"}")
 expect_serve_exit(0 "{\"id\":4,\"program\":\"jacobi\",\"bind\":{\"n\":8,\"iters\":10},\"topology\":\"mesh:4x4\",\"deadline_ms\":-1}"
                   --deterministic)
+
+# 0: a job nested 20 000 levels deep is a code-3 result line, not a
+# crashed daemon (it used to exit with SIGSEGV).
+string(REPEAT "(" 20000 open)
+string(REPEAT ")^1" 20000 close_phases)
+expect_serve_exit(0 "{\"id\":6,\"larcs\":\"algorithm d();\\nnodetype t[i: 0 .. 7];\\ncomphase ring { t(i) -> t((i + 1) mod 8); }\\nphases ${open}ring${close_phases};\\n\",\"topology\":\"ring:4\"}"
+                  --jobs 1)
 
 # 2: usage errors kill the daemon before it reads anything.
 expect_serve_exit(2 "" --frobnicate)

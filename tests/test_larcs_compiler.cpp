@@ -34,9 +34,9 @@ TEST(Compiler, NbodyFig2Structure) {
   }
 
   // Phase expression ((ring; compute1)^8; chordal; compute2)^4.
-  const auto comm_mult = g.comm_phase_multiplicity();
+  const auto comm_mult = g.phase_multiplicity().comm;
   EXPECT_EQ(comm_mult, (std::vector<long>{4 * 8, 4}));
-  const auto exec_mult = g.exec_phase_multiplicity();
+  const auto exec_mult = g.phase_multiplicity().exec;
   EXPECT_EQ(exec_mult, (std::vector<long>{32, 4}));
   EXPECT_EQ(g.phase_expr().to_string(g.comm_phases(), g.exec_phases()),
             "((ring; compute1)^8; chordal; compute2)^4");

@@ -32,8 +32,8 @@ void expect_same_expansion(const Program& a, const Program& b,
     EXPECT_EQ(ca.graph.exec_phases()[k].cost,
               cb.graph.exec_phases()[k].cost);
   }
-  EXPECT_EQ(ca.graph.comm_phase_multiplicity(),
-            cb.graph.comm_phase_multiplicity());
+  EXPECT_EQ(ca.graph.phase_multiplicity().comm,
+            cb.graph.phase_multiplicity().comm);
   EXPECT_EQ(ca.graph.declared_node_symmetric(),
             cb.graph.declared_node_symmetric());
 }

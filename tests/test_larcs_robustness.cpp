@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "oregami/larcs/compiler.hpp"
+#include "oregami/larcs/parser.hpp"
 #include "oregami/support/error.hpp"
 
 #ifndef OREGAMI_SAMPLES_DIR
@@ -160,6 +161,77 @@ TEST(LarcsRobustness, DegenerateInputsFailCleanly) {
     expect_compiles_or_located_error(degenerates[i], any,
                                      "degenerate #" + std::to_string(i));
   }
+}
+
+std::string repeat(const std::string& text, int times) {
+  std::string out;
+  for (int i = 0; i < times; ++i) {
+    out += text;
+  }
+  return out;
+}
+
+/// A ring program whose phase expression nests `depth` parenthesised
+/// repetitions, ((...(ring)^1...)^1: `depth` levels of parentheses and
+/// a phase tree `depth` levels tall.
+std::string nested_phases(int depth) {
+  return "algorithm deep();\nnodetype t[i: 0 .. 7];\n"
+         "comphase ring { t(i) -> t((i + 1) mod 8); }\n"
+         "phases " +
+         repeat("(", depth) + "ring" + repeat(")^1", depth) + ";\n";
+}
+
+/// The same program with a message volume nested `depth` deep: each
+/// level is one parenthesis and one addition, (1 + (1 + ... 1)).
+std::string nested_volume(int depth) {
+  return "algorithm deep();\nnodetype t[i: 0 .. 7];\n"
+         "comphase ring { t(i) -> t((i + 1) mod 8) volume " +
+         repeat("(1 + ", depth) + "1" + repeat(")", depth) + "; }\n";
+}
+
+void expect_too_deep(const std::string& source, const std::string& what) {
+  try {
+    (void)larcs::compile_source(source, {});
+    ADD_FAILURE() << what << ": nesting past the cap was accepted";
+  } catch (const LarcsError& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting deeper than 256"),
+              std::string::npos)
+        << what << ": " << e.what();
+    EXPECT_GE(e.loc().line, 1) << what;
+    EXPECT_GE(e.loc().column, 1) << what;
+  }
+}
+
+TEST(LarcsRobustness, NestingUpToTheCapParsesAndPastItIsRefused) {
+  ASSERT_EQ(larcs::kMaxNesting, 256);
+  const auto phases = larcs::compile_source(nested_phases(256), {});
+  EXPECT_EQ(phases.graph.phase_multiplicity().comm,
+            (std::vector<long>{1}));
+  const auto volume = larcs::compile_source(nested_volume(256), {});
+  EXPECT_EQ(volume.graph.comm_phases()[0].edges[0].volume, 257);
+  for (const int depth : {257, 20000}) {
+    expect_too_deep(nested_phases(depth),
+                    "phases " + std::to_string(depth) + " deep");
+    expect_too_deep(nested_volume(depth),
+                    "volume " + std::to_string(depth) + " deep");
+  }
+}
+
+TEST(LarcsRobustness, TallTreesWithoutParenthesesAreRefusedToo) {
+  // Chains build a tree one level per operator without any nesting in
+  // the source: x^1^1^...^1, 1+1+...+1, - - ... - 1.
+  const std::string head =
+      "algorithm deep();\nnodetype t[i: 0 .. 7];\n"
+      "comphase ring { t(i) -> t((i + 1) mod 8) volume ";
+  const auto chain = [&](int ops) {
+    return head + "1; }\nphases ring" + repeat("^1", ops) + ";\n";
+  };
+  EXPECT_NO_THROW((void)larcs::compile_source(chain(256), {}));
+  expect_too_deep(chain(257), "repeat chain");
+  EXPECT_NO_THROW(
+      (void)larcs::compile_source(head + repeat("1 + ", 256) + "1; }\n", {}));
+  expect_too_deep(head + repeat("1 + ", 257) + "1; }\n", "sum chain");
+  expect_too_deep(head + repeat("- ", 20000) + "1; }\n", "unary chain");
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "oregami/arch/fault_model.hpp"
 #include "oregami/arch/routes.hpp"
 #include "oregami/arch/topology_spec.hpp"
 #include "oregami/core/csr_graph.hpp"
@@ -239,24 +240,80 @@ TEST(Properties, GeneratedPipelineInvariants) {
   }
 }
 
+/// Random phase expression over `g`'s phases: comm/exec leaves, inner
+/// Idle, Seq and Par of 1-3 parts, and Repeat with counts 0-3, at most
+/// `depth` levels deep.
+PhaseTree random_phase_tree(SplitMix64& rng, const TaskGraph& g,
+                            int depth) {
+  const auto pick = rng.next_below(depth == 0 ? 3 : 7);
+  const auto comm_leaf = [&] {
+    return PhaseTree::comm(static_cast<int>(
+        rng.next_below(static_cast<std::uint64_t>(g.comm_phases().size()))));
+  };
+  if (pick == 0 || (pick == 1 && g.exec_phases().empty())) {
+    return comm_leaf();
+  }
+  if (pick == 1) {
+    return PhaseTree::exec(static_cast<int>(
+        rng.next_below(static_cast<std::uint64_t>(g.exec_phases().size()))));
+  }
+  if (pick == 2) {
+    return PhaseTree::idle();
+  }
+  if (pick == 6) {
+    return PhaseTree::repeat(random_phase_tree(rng, g, depth - 1),
+                             rng.next_in(0, 3));
+  }
+  std::vector<PhaseTree> parts(rng.next_in(1, 3));
+  for (auto& part : parts) {
+    part = random_phase_tree(rng, g, depth - 1);
+  }
+  return pick % 2 == 0 ? PhaseTree::seq(std::move(parts))
+                       : PhaseTree::par(std::move(parts));
+}
+
 /// IncrementalCompletion invariants on a generated case: the cached
 /// completion matches completion_time(), every delta_move probe equals
 /// the realised apply_move delta (which in turn matches a from-scratch
 /// recompute), and unwinding the whole move history restores the
-/// placement, the routing, and the completion exactly.
+/// placement, the routing, and the completion exactly. The phase
+/// expression (Idle root one time in six) and a slowed-links-only
+/// fault spec come from a second stream, so the graph and topology
+/// draws match the other properties' cases; under the slowed links,
+/// IncrementalCompletion with the same factors must agree with
+/// degraded_completion_time() before and after every move.
 void check_incremental_case(std::uint64_t case_seed) {
   SCOPED_TRACE("case seed " + std::to_string(case_seed));
   SplitMix64 rng(case_seed);
   const Topology topo = random_topology(rng);
-  const TaskGraph graph = random_task_graph(rng);
+  TaskGraph graph = random_task_graph(rng);
+  SplitMix64 shape_rng(case_seed ^ 0x5A7E5EEDULL);
+  graph.set_phase_expr(shape_rng.next_below(6) == 0
+                           ? PhaseTree::idle()
+                           : random_phase_tree(shape_rng, graph, 3));
+  graph.validate();
+  FaultSpec slowed;
+  const auto num_slowed = shape_rng.next_in(0, 3);
+  for (std::uint64_t i = 0; i < num_slowed && topo.num_links() > 0; ++i) {
+    slowed.slow_links.push_back(
+        {static_cast<int>(shape_rng.next_below(
+             static_cast<std::uint64_t>(topo.num_links()))),
+         static_cast<int>(shape_rng.next_in(1, 5))});
+  }
+  const FaultedTopology faults(topo, slowed);
   const MapperReport report = map_computation(graph, topo, {});
 
   IncrementalCompletion inc(graph, topo, report.mapping);
+  IncrementalCompletion degraded(graph, topo, report.mapping, {},
+                                 faults.link_slowdowns());
   const auto procs_before = inc.proc_of_task();
   const auto routing_before = inc.routing();
   const std::int64_t completion_before = inc.completion();
   ASSERT_EQ(completion_before,
             completion_time(graph, procs_before, routing_before, topo));
+  ASSERT_EQ(degraded.completion(),
+            degraded_completion_time(graph, procs_before, routing_before,
+                                     faults));
 
   const int kMoves = 6;
   for (int m = 0; m < kMoves; ++m) {
@@ -274,6 +331,11 @@ void check_incremental_case(std::uint64_t case_seed) {
               completion_time(graph, inc.proc_of_task(), inc.routing(),
                               topo))
         << "task " << task << " -> " << target;
+    (void)degraded.apply_move(task, target);
+    ASSERT_EQ(degraded.completion(),
+              degraded_completion_time(graph, degraded.proc_of_task(),
+                                       degraded.routing(), faults))
+        << "degraded: task " << task << " -> " << target;
   }
   while (inc.undo()) {
   }

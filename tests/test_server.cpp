@@ -324,6 +324,76 @@ TEST(Serve, TopologyOutsideItsFamilysDomainIsBadInputNotACrash) {
   expect_contains(lines[1], "\"status\":\"ok\"");
 }
 
+std::string repeated(const std::string& text, int times) {
+  std::string out;
+  for (int i = 0; i < times; ++i) {
+    out += text;
+  }
+  return out;
+}
+
+/// One wire job carrying inline LaRCS: a ring over 8 tasks with the
+/// given phase expression (JSON-escaped newlines).
+std::string inline_ring_job(int id, const std::string& phases,
+                            const std::string& bind) {
+  return "{\"id\":" + std::to_string(id) +
+         ",\"larcs\":\"algorithm rep(r);\\nnodetype t[i: 0 .. 7];\\n"
+         "comphase ring { t(i) -> t((i + 1) mod 8) volume 1000; }\\n"
+         "exphase work cost 1000;\\nphases " +
+         phases + ";\\n\",\"bind\":{" + bind +
+         "},\"topology\":\"ring:4\"}\n";
+}
+
+TEST(Serve, DeeplyNestedLarcsIsBadInputAndTheDaemonKeepsServing) {
+  // 20 000 nested repetitions, about 80 KB of source: refused by the
+  // parser's nesting cap before any recursive walk can overflow the
+  // worker's stack; the next job still gets its answer.
+  const std::string deep =
+      repeated("(", 20000) + "ring" + repeated(")^1", 20000);
+  const std::string stream = inline_ring_job(1, deep, "\"r\":1") +
+                             inline_ring_job(2, "((ring; work)^r)^r",
+                                             "\"r\":2");
+  ASSERT_GT(stream.size(), 80000u);
+  std::istringstream in(stream);
+  std::ostringstream out;
+  const ServerStats stats = serve(in, out, deterministic_options(1));
+  EXPECT_EQ(stats.errors, 1);
+  EXPECT_EQ(stats.ok, 1);
+  std::vector<std::string> lines = split_lines(out.str());
+  std::sort(lines.begin(), lines.end());
+  ASSERT_EQ(lines.size(), 2u);
+  expect_contains(lines[0], "\"id\":\"1\"");
+  expect_contains(lines[0], "\"code\":3");
+  expect_contains(lines[0], "nesting deeper than 256 levels");
+  expect_contains(lines[1], "\"id\":\"2\"");
+  expect_contains(lines[1], "\"status\":\"ok\"");
+}
+
+TEST(Serve, RepetitionCountsThatOverflowTheModelAreBadInput) {
+  // ((ring; work)^r)^r on ring:4: r = 4e9 overflows the multiplicity,
+  // r = 3e9 the completion bound; both used to answer "ok" with a
+  // wrapped completion. r = 1000 is exact.
+  const std::string phases = "((ring; work)^r)^r";
+  const std::string stream =
+      inline_ring_job(1, phases, "\"r\":4000000000") +
+      inline_ring_job(2, phases, "\"r\":3000000000") +
+      inline_ring_job(3, phases, "\"r\":1000");
+  std::istringstream in(stream);
+  std::ostringstream out;
+  const ServerStats stats = serve(in, out, deterministic_options(1));
+  EXPECT_EQ(stats.errors, 2);
+  EXPECT_EQ(stats.ok, 1);
+  std::vector<std::string> lines = split_lines(out.str());
+  std::sort(lines.begin(), lines.end());
+  ASSERT_EQ(lines.size(), 3u);
+  for (int i = 0; i < 2; ++i) {
+    expect_contains(lines[static_cast<std::size_t>(i)], "\"code\":3");
+    expect_contains(lines[static_cast<std::size_t>(i)], "overflow");
+  }
+  expect_contains(lines[2], "\"id\":\"3\"");
+  expect_contains(lines[2], "\"completion\":3001000000,");
+}
+
 TEST(Serve, BlankLinesAreKeepAlivesNotJobs) {
   std::istringstream in("\n  \t\n\n");
   std::ostringstream out;

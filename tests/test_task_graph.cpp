@@ -93,21 +93,21 @@ TEST(PhaseTree, MultiplicitiesThroughNestedRepeats) {
                PhaseTree::seq({PhaseTree::comm(0), PhaseTree::exec(0)}), 5),
            PhaseTree::comm(1)}),
       2));
-  EXPECT_EQ(g.comm_phase_multiplicity(), (std::vector<long>{10, 2}));
-  EXPECT_EQ(g.exec_phase_multiplicity(), (std::vector<long>{10}));
+  EXPECT_EQ(g.phase_multiplicity().comm, (std::vector<long>{10, 2}));
+  EXPECT_EQ(g.phase_multiplicity().exec, (std::vector<long>{10}));
 }
 
 TEST(PhaseTree, IdleExpressionDefaultsToOnceEach) {
   const auto g = two_phase_graph();
-  EXPECT_EQ(g.comm_phase_multiplicity(), (std::vector<long>{1, 1}));
-  EXPECT_EQ(g.exec_phase_multiplicity(), (std::vector<long>{1}));
+  EXPECT_EQ(g.phase_multiplicity().comm, (std::vector<long>{1, 1}));
+  EXPECT_EQ(g.phase_multiplicity().exec, (std::vector<long>{1}));
 }
 
 TEST(PhaseTree, ParallelBranchesBothCount) {
   auto g = two_phase_graph();
   g.set_phase_expr(PhaseTree::repeat(
       PhaseTree::par({PhaseTree::comm(0), PhaseTree::comm(1)}), 4));
-  EXPECT_EQ(g.comm_phase_multiplicity(), (std::vector<long>{4, 4}));
+  EXPECT_EQ(g.phase_multiplicity().comm, (std::vector<long>{4, 4}));
 }
 
 TEST(TaskGraph, ValidateChecksPhaseIndices) {

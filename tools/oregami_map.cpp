@@ -538,6 +538,9 @@ int run(const Options& options) {
       faulted.emplace(topo, FaultSpec::parse(*options.fault_spec, topo,
                                              options.fault_seed));
     }
+    check_model_bound(compiled.graph, topo,
+                      faulted ? faulted->link_slowdowns()
+                              : std::vector<std::int64_t>{});
     if (options.digest) {
       // Print the mapping server's cache key for these inputs (used to
       // pre-warm a server or debug why two requests don't share an
@@ -559,7 +562,8 @@ int run(const Options& options) {
               << "\n";
     return kExitBadInput;
   } catch (const MappingError& e) {
-    // Reaching here means a bad topology or fault spec (the mapping
+    // Reaching here means a bad topology or fault spec, or a program
+    // whose model quantities overflow on this machine (the mapping
     // stage classifies its own MappingErrors as exit code 4).
     std::cerr << "error: " << e.what() << "\n";
     return kExitBadInput;
