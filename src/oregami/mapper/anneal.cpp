@@ -1,8 +1,9 @@
 #include "oregami/mapper/anneal.hpp"
 
+#include <array>
 #include <cmath>
 
-#include "oregami/metrics/incremental.hpp"
+#include "oregami/mapper/local_search.hpp"
 #include "oregami/support/deadline.hpp"
 #include "oregami/support/error.hpp"
 #include "oregami/support/rng.hpp"
@@ -14,14 +15,12 @@ AnnealResult anneal_placement(const TaskGraph& graph, const Topology& topo,
                               std::vector<int> proc_of_task,
                               std::vector<PhaseRouting> routing,
                               const CostModel& model,
-                              const AnnealOptions& options,
-                              std::vector<std::int64_t> link_factor) {
+                              const AnnealOptions& options) {
   const trace::Span span("anneal");
   const int n = graph.num_tasks();
   const int p = topo.num_procs();
   IncrementalCompletion inc(graph, topo, std::move(proc_of_task),
-                            std::move(routing), model,
-                            std::move(link_factor));
+                            std::move(routing), model);
 
   AnnealResult result;
   result.completion_before = inc.completion();
@@ -36,7 +35,6 @@ AnnealResult anneal_placement(const TaskGraph& graph, const Topology& topo,
                             1.0, static_cast<double>(inc.completion()) / 20.0);
 
     std::int64_t best_completion = inc.completion();
-    std::size_t best_history = inc.history_size();
 
     for (int i = 0; i < options.iterations; ++i) {
       // The clock is only consulted for positive budgets, and only
@@ -71,33 +69,29 @@ AnnealResult anneal_placement(const TaskGraph& graph, const Topology& topo,
         continue;  // neighbour draw can land on `here` in multigraphs
       }
       ++result.proposed;
-      const std::int64_t delta = inc.delta_move(task, target);
-      bool accept = delta <= 0;
-      if (!accept && temp > 0.0) {
-        accept = rng.next_double() <
-                 std::exp(-static_cast<double>(delta) / temp);
-      }
-      if (!accept) {
+      const Move move = try_move(inc, task, std::array{target}, [&](auto d) {
+        return d <= 0 ||
+               (temp > 0.0 &&
+                rng.next_double() < std::exp(-static_cast<double>(d) / temp));
+      });
+      if (move.to < 0) {
         continue;
       }
-      inc.apply_move(task, target);
       ++result.accepted;
-      if (delta > 0) {
+      if (move.delta > 0) {
         ++result.uphill;
       }
       if (inc.completion() < best_completion) {
         best_completion = inc.completion();
-        best_history = inc.history_size();
+        inc.clear_history();
       }
     }
 
-    // Return the best state visited, not wherever the chain ended:
-    // unwind the exact undo history past the last strict improvement.
+    // Return the best state visited, not wherever the chain ended: the
+    // history holds exactly the moves since the last strict improvement.
     // When nothing ever improved, this rewinds the whole chain and the
     // result is bit-identical to the input.
-    while (inc.history_size() > best_history) {
-      const bool undone = inc.undo();
-      OREGAMI_ASSERT(undone, "anneal history unwind underflow");
+    while (inc.undo()) {
     }
     OREGAMI_ASSERT(inc.completion() == best_completion,
                    "anneal unwind must land on the best visited state");

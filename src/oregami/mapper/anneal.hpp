@@ -2,20 +2,18 @@
 // improved algorithms" commitment; the modern recipe of Glantz et al.
 // and the HTI-OVGU task-mapping field).
 //
-// The chain walks single-task moves scored by the completion model via
-// IncrementalCompletion::delta_move -- the exact O(touched-state)
-// evaluator built for placement refinement -- so one proposal costs the
-// same as one refinement probe rather than a full model re-score.
-// Downhill and sideways moves are always accepted; uphill moves are
-// accepted with probability exp(-delta / T) under a geometric cooling
-// schedule.
+// Each proposal is one random candidate for one random task, probed
+// and committed through the move engine (mapper/local_search.hpp,
+// try_move) with Metropolis acceptance: downhill and sideways moves
+// always, uphill moves with probability exp(-delta / T) under a
+// geometric cooling schedule.
 //
 // Determinism contract: the result is a pure function of the inputs
 // and `AnnealOptions::seed`. The proposal stream comes from a private
 // SplitMix64, the chain is strictly sequential, and the returned state
-// is the *best* state visited, reconstructed exactly by unwinding the
-// evaluator's undo history past the last strict improvement. Two
-// consequences the tests rely on:
+// is the *best* state visited: the evaluator's undo history is cleared
+// at every strict improvement, so unwinding all of it lands exactly
+// there. Two consequences the tests rely on:
 //   * the result is never worse than the initial placement;
 //   * when no proposal strictly improves on the start state, the
 //     final placement, routing, and completion are bit-identical to
@@ -64,14 +62,10 @@ struct AnnealResult {
 };
 
 /// Runs the annealing chain from `proc_of_task` + `routing` (e.g. a
-/// MAPPER-produced mapping). `link_factor` (optional, empty = all 1)
-/// is the per-link serialisation multiplier forwarded to
-/// IncrementalCompletion, so a chain on a degraded machine steers
-/// traffic away from slowed links.
+/// MAPPER-produced mapping).
 [[nodiscard]] AnnealResult anneal_placement(
     const TaskGraph& graph, const Topology& topo,
     std::vector<int> proc_of_task, std::vector<PhaseRouting> routing,
-    const CostModel& model = {}, const AnnealOptions& options = {},
-    std::vector<std::int64_t> link_factor = {});
+    const CostModel& model = {}, const AnnealOptions& options = {});
 
 }  // namespace oregami

@@ -163,7 +163,8 @@ MapperReport finish(MapStrategy strategy, std::string details,
     PlacementRefineResult refined = refine_placement(
         graph, topo, report.mapping.proc_of_task(),
         report.mapping.routing, /*model=*/{}, bound);
-    trace::counter("moves", refined.moves);
+    // Not "moves": readers take counters ending /moves as multilevel's.
+    trace::counter("refine_moves", refined.moves);
     trace::counter("improvement", refined.improvement());
     if (refined.moves > 0) {
       report.details += "; placement refinement -" +

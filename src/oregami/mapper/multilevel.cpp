@@ -1,6 +1,7 @@
 #include "oregami/mapper/multilevel.hpp"
 
 #include <algorithm>
+#include <array>
 #include <future>
 #include <limits>
 #include <string>
@@ -9,8 +10,8 @@
 
 #include "oregami/core/csr_graph.hpp"
 #include "oregami/mapper/baselines.hpp"
+#include "oregami/mapper/local_search.hpp"
 #include "oregami/mapper/nn_embed.hpp"
-#include "oregami/metrics/incremental.hpp"
 #include "oregami/support/deadline.hpp"
 #include "oregami/support/error.hpp"
 #include "oregami/support/thread_pool.hpp"
@@ -144,11 +145,11 @@ long refine_level(const CsrTaskGraph& csr, IncrementalCompletion& inc,
 
     long moves = 0;
     for (const Proposal& p : proposals) {
-      if (inc.delta_move(p.task, p.to) < 0) {
-        inc.apply_move(p.task, p.to);
-        ++moves;
-      }
+      const Move move =
+          try_move(inc, p.task, std::array{p.to}, strict_improvement);
+      if (move.to >= 0) ++moves;
     }
+    inc.clear_history();
     trace::counter("boundary", static_cast<std::int64_t>(boundary.size()));
     trace::counter("moves", moves);
     total_moves += moves;
@@ -224,44 +225,28 @@ MapperReport map_multilevel(const TaskGraph& graph, const Topology& topo,
   Mapping mapping;
   for (int k = static_cast<int>(levels.size()) - 1; k >= 0; --k) {
     trace::Span level_span("level#" + std::to_string(k));
-    trace::counter("vertices", levels[static_cast<std::size_t>(k)]
-                                   .csr.num_vertices());
+    const Level& level = levels[static_cast<std::size_t>(k)];
+    trace::counter("vertices", level.csr.num_vertices());
+    // Level 0 scores the real task graph, so the last sweeps optimise
+    // the exact completion; coarser levels score their one-phase
+    // aggregate (same bottleneck structure, far fewer vertices). Greedy
+    // routes are the rule IncrementalCompletion re-routes moved edges
+    // with, so the evaluator starts cache-consistent.
+    const TaskGraph coarse = k == 0 ? TaskGraph() : level.csr.to_task_graph();
+    const TaskGraph& level_graph = k == 0 ? graph : coarse;
+    IncrementalCompletion inc(
+        level_graph, topo, placement,
+        route_greedy_shortest(level_graph, placement, topo), options.model);
+    total_moves += refine_level(level.csr, inc, topo, pool,
+                                options.refine_rounds, deadline, k);
     if (k == 0) {
-      // Finest level scores the *real* task graph (all phases, the
-      // true phase expression), so the last sweeps optimise the exact
-      // completion objective. Routes are greedy, the rule
-      // IncrementalCompletion re-routes moved edges with, so the
-      // evaluator starts cache-consistent.
-      std::vector<PhaseRouting> routing =
-          route_greedy_shortest(graph, placement, topo);
-      IncrementalCompletion inc(graph, topo, placement, std::move(routing),
-                                options.model);
-      if (!deadline.passed()) {
-        total_moves += refine_level(levels[0].csr, inc, topo, pool,
-                                    options.refine_rounds, deadline, 0);
-      }
       trace::counter("completion", inc.completion());
       mapping =
           mapping_from_placement(inc.proc_of_task(), inc.routing(), num_procs);
     } else {
-      // Intermediate levels score the coarse aggregate (single folded
-      // comm + exec phase) — same bottleneck structure, far fewer
-      // vertices.
-      const TaskGraph level_graph =
-          levels[static_cast<std::size_t>(k)].csr.to_task_graph();
-      std::vector<PhaseRouting> routing =
-          route_greedy_shortest(level_graph, placement, topo);
-      IncrementalCompletion inc(level_graph, topo, placement,
-                                std::move(routing), options.model);
-      if (!deadline.passed()) {
-        total_moves += refine_level(levels[static_cast<std::size_t>(k)].csr,
-                                    inc, topo, pool, options.refine_rounds,
-                                    deadline, k);
-      }
       const std::vector<std::int32_t>& projection =
           levels[static_cast<std::size_t>(k - 1)].coarse_of_fine;
-      std::vector<int> fine(levels[static_cast<std::size_t>(k - 1)]
-                                .csr.num_vertices());
+      std::vector<int> fine(projection.size());
       for (std::size_t v = 0; v < fine.size(); ++v) {
         fine[v] = inc.proc_of_task()[static_cast<std::size_t>(projection[v])];
       }

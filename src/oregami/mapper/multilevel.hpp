@@ -15,9 +15,10 @@
 //      only tasks with a neighbor on another processor are candidates.
 //      Candidate gains are estimated in parallel over the `ThreadPool`
 //      from a frozen placement (CSR scans + the O(1) distance oracle),
-//      then committed serially in ascending task order, each re-probed
-//      exactly with `IncrementalCompletion::delta_move` and applied
-//      only when strictly improving.
+//      then committed serially in ascending task order: each frozen
+//      proposal is the one candidate of a strict-improvement try_move
+//      (mapper/local_search.hpp), re-probed exactly on the live
+//      placement.
 //
 // Determinism contract (same as the portfolio's): proposals are pure
 // functions of the frozen placement and are collected in submission

@@ -1,8 +1,8 @@
 #include "oregami/mapper/refine.hpp"
 
 #include <algorithm>
+#include <ranges>
 
-#include "oregami/metrics/incremental.hpp"
 #include "oregami/support/error.hpp"
 
 namespace oregami {
@@ -52,7 +52,6 @@ RefineResult refine_contraction(const Graph& task_graph,
   std::vector<int> size = contraction.cluster_sizes();
 
   for (int pass = 0; pass < max_passes; ++pass) {
-    ++result.passes;
     bool improved = false;
     // One sweep applies every best-positive action it finds, task by
     // task (FM-flavoured: cheap, deterministic, monotone).
@@ -139,86 +138,59 @@ PlacementRefineResult refine_placement(const TaskGraph& graph,
                                        std::vector<int> proc_of_task,
                                        std::vector<PhaseRouting> routing,
                                        const CostModel& model,
-                                       int load_bound_B, int max_passes,
-                                       std::vector<std::int64_t> link_factor) {
-  const int n = graph.num_tasks();
+                                       int load_bound_B) {
   IncrementalCompletion inc(graph, topo, std::move(proc_of_task),
-                            std::move(routing), model,
-                            std::move(link_factor));
-
+                            std::move(routing), model);
   PlacementRefineResult result;
   result.completion_before = inc.completion();
-
-  std::vector<int> tasks_on_proc(static_cast<std::size_t>(topo.num_procs()),
-                                 0);
-  for (const int p : inc.proc_of_task()) {
-    ++tasks_on_proc[static_cast<std::size_t>(p)];
-  }
-
-  // Communication partners of each task under the static aggregate
-  // (phase-independent, so computed once).
-  std::vector<std::vector<int>> partners(static_cast<std::size_t>(n));
-  for (const auto& phase : graph.comm_phases()) {
-    for (const auto& e : phase.edges) {
-      if (e.src != e.dst) {
-        partners[static_cast<std::size_t>(e.src)].push_back(e.dst);
-        partners[static_cast<std::size_t>(e.dst)].push_back(e.src);
-      }
-    }
-  }
-  std::vector<int> candidates;
-  for (int pass = 0; pass < max_passes; ++pass) {
-    ++result.passes;
-    bool improved = false;
-    for (int t = 0; t < n; ++t) {
-      const int here = inc.proc_of_task()[static_cast<std::size_t>(t)];
-      candidates.clear();
-      for (const auto& a : topo.graph().neighbors(here)) {
-        candidates.push_back(a.neighbor);
-      }
-      for (const int u : partners[static_cast<std::size_t>(t)]) {
-        candidates.push_back(inc.proc_of_task()[static_cast<std::size_t>(u)]);
-      }
-      std::sort(candidates.begin(), candidates.end());
-      candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                       candidates.end());
-
-      std::int64_t best_delta = 0;
-      int best_proc = -1;
-      for (const int q : candidates) {
-        if (q == here) {
-          continue;
-        }
-        if (load_bound_B > 0 &&
-            tasks_on_proc[static_cast<std::size_t>(q)] >= load_bound_B) {
-          continue;
-        }
-        const std::int64_t delta = inc.delta_move(t, q);
-        if (delta < best_delta) {
-          best_delta = delta;
-          best_proc = q;
-        }
-      }
-      if (best_proc < 0) {
-        continue;
-      }
-      inc.apply_move(t, best_proc);
-      --tasks_on_proc[static_cast<std::size_t>(here)];
-      ++tasks_on_proc[static_cast<std::size_t>(best_proc)];
-      ++result.moves;
-      improved = true;
-    }
-    if (!improved) {
-      break;
-    }
-  }
-
+  result.moves = static_cast<int>(
+      refine_sweeps(graph, topo, inc, load_bound_B, Deadline(0)).moves);
   result.completion_after = inc.completion();
   OREGAMI_ASSERT(result.completion_after <= result.completion_before,
                  "placement refinement must never worsen completion");
   result.proc_of_task = inc.proc_of_task();
   result.routing = inc.routing();
   return result;
+}
+
+SweepStats refine_sweeps(const TaskGraph& graph, const Topology& topo,
+                         IncrementalCompletion& inc, int load_bound_B,
+                         const Deadline& deadline) {
+  std::vector<int> tasks_on_proc(static_cast<std::size_t>(topo.num_procs()),
+                                 0);
+  for (const int p : inc.proc_of_task()) {
+    ++tasks_on_proc[static_cast<std::size_t>(p)];
+  }
+
+  // Communication partners are phase-independent: computed once.
+  const Graph partners = graph.aggregate_graph();
+  std::vector<int> candidates;
+  return sweep_until_stable(
+      inc, std::views::iota(0, graph.num_tasks()), /*max_sweeps=*/4,
+      deadline,
+      [&](int t, int /*sweep*/) -> const std::vector<int>& {
+        const int here = inc.proc_of_task()[static_cast<std::size_t>(t)];
+        candidates.clear();
+        for (const auto& a : topo.graph().neighbors(here)) {
+          candidates.push_back(a.neighbor);
+        }
+        for (const auto& a : partners.neighbors(t)) {
+          candidates.push_back(
+              inc.proc_of_task()[static_cast<std::size_t>(a.neighbor)]);
+        }
+        std::sort(candidates.begin(), candidates.end());
+        candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                         candidates.end());
+        std::erase_if(candidates, [&](int q) {
+          return load_bound_B > 0 &&
+                 tasks_on_proc[static_cast<std::size_t>(q)] >= load_bound_B;
+        });
+        return candidates;
+      },
+      [&](const Move& move) {
+        --tasks_on_proc[static_cast<std::size_t>(move.from)];
+        ++tasks_on_proc[static_cast<std::size_t>(move.to)];
+      });
 }
 
 }  // namespace oregami

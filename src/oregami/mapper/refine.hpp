@@ -7,11 +7,11 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "oregami/core/mapping.hpp"
 #include "oregami/graph/graph.hpp"
+#include "oregami/mapper/local_search.hpp"
 #include "oregami/metrics/completion_model.hpp"
 
 namespace oregami {
@@ -22,7 +22,6 @@ struct RefineResult {
   std::int64_t external_after = 0;
   int moves = 0;
   int swaps = 0;
-  int passes = 0;
 
   [[nodiscard]] std::int64_t improvement() const {
     return external_before - external_after;
@@ -45,7 +44,6 @@ struct PlacementRefineResult {
   std::int64_t completion_before = 0;
   std::int64_t completion_after = 0;
   int moves = 0;
-  int passes = 0;
 
   [[nodiscard]] std::int64_t improvement() const {
     return completion_before - completion_after;
@@ -53,22 +51,22 @@ struct PlacementRefineResult {
 };
 
 /// Processor-level hill climbing on the completion model itself, after
-/// contraction and embedding are fixed. Sweeps tasks in id order; for
-/// each, probes moving it to every candidate processor (the network
-/// neighbours of its current processor, plus the processors hosting its
-/// communication partners) with IncrementalCompletion::delta_move and
-/// commits the strictly-improving move with the largest gain (ties:
-/// lowest processor id). A move is admitted only while the destination
-/// hosts fewer than `load_bound_B` tasks (0 = unbounded). Deterministic;
-/// never worsens the completion time; `max_passes` bounds the sweeps.
-///
-/// `link_factor` (optional, empty = all 1) is a per-link serialisation
-/// multiplier forwarded to IncrementalCompletion, so refinement on a
-/// degraded machine steers traffic away from slowed links.
+/// contraction and embedding are fixed: refine_sweeps on a fresh
+/// evaluator. Deterministic; never worsens the completion time.
 [[nodiscard]] PlacementRefineResult refine_placement(
     const TaskGraph& graph, const Topology& topo,
     std::vector<int> proc_of_task, std::vector<PhaseRouting> routing,
-    const CostModel& model = {}, int load_bound_B = 0, int max_passes = 4,
-    std::vector<std::int64_t> link_factor = {});
+    const CostModel& model = {}, int load_bound_B = 0);
+
+/// Up to four refinement sweeps on an existing evaluator (the repair
+/// ladder polishes its migrate rung's evaluator, slow-link factors
+/// included): the move engine's sweep_until_stable over every task in
+/// id order. A task's candidates are the network neighbours of its
+/// processor plus the processors of its communication partners,
+/// ascending, and only those hosting fewer than `load_bound_B` tasks
+/// (0 = unbounded).
+SweepStats refine_sweeps(const TaskGraph& graph, const Topology& topo,
+                         IncrementalCompletion& inc, int load_bound_B,
+                         const Deadline& deadline);
 
 }  // namespace oregami

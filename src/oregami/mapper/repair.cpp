@@ -1,14 +1,11 @@
 #include "oregami/mapper/repair.hpp"
 
-#include <algorithm>
-#include <chrono>
 #include <limits>
 #include <utility>
 
 #include "oregami/mapper/baselines.hpp"
 #include "oregami/mapper/driver.hpp"
 #include "oregami/mapper/refine.hpp"
-#include "oregami/metrics/incremental.hpp"
 #include "oregami/support/deadline.hpp"
 #include "oregami/support/error.hpp"
 #include "oregami/support/trace.hpp"
@@ -46,14 +43,6 @@ int nearest_healthy(const FaultedTopology& faults, int from) {
     }
   }
   return best;
-}
-
-/// Re-routes every comm edge greedily on the faulted topology
-/// (faulted link ids). Every endpoint must be healthy.
-std::vector<PhaseRouting> reroute_on_faulted(
-    const TaskGraph& graph, const FaultedTopology& faults,
-    const std::vector<int>& proc_of_task) {
-  return route_greedy_shortest(graph, proc_of_task, faults.faulted());
 }
 
 /// Translates faulted-link-id routing back into base link ids.
@@ -108,67 +97,40 @@ RepairResult repair_mapping(const TaskGraph& graph,
   if (options.allow_migrate) {
     // --- Rung 1: migrate displaced tasks, re-route everything. ---
     const trace::Span rung_span("migrate");
+    std::vector<int> displaced;
     for (int t = 0; t < graph.num_tasks(); ++t) {
       const int p = proc[static_cast<std::size_t>(t)];
       if (!faults.healthy(p)) {
         const int to = nearest_healthy(faults, p);
         result.migrations.push_back({t, p, to});
+        displaced.push_back(t);
         proc[static_cast<std::size_t>(t)] = to;
       }
     }
-    std::vector<PhaseRouting> routing =
-        reroute_on_faulted(graph, faults, proc);
+    IncrementalCompletion inc(graph, ftopo, proc,
+                              route_greedy_shortest(graph, proc, ftopo),
+                              options.model, faults.faulted_link_factors());
 
-    IncrementalCompletion inc(graph, ftopo, std::move(proc),
-                              std::move(routing), options.model,
-                              faults.faulted_link_factors());
-
-    // Improvement loop over the displaced tasks only, with an
-    // exponentially growing radius. Healthy candidates are enumerated
-    // by faulted-topology distance from the task's current processor.
-    for (int attempt = 0; attempt < options.max_attempts; ++attempt) {
-      if (deadline.passed()) {
-        result.deadline_hit = true;
-        break;
-      }
-      const int radius = attempt < 30 ? (1 << attempt)
-                                      : std::numeric_limits<int>::max() / 2;
-      bool improved = false;
-      for (const RepairMove& move : result.migrations) {
-        if (deadline.passed()) {
-          result.deadline_hit = true;
-          break;
-        }
-        const int t = move.task;
-        const int here =
-            inc.proc_of_task()[static_cast<std::size_t>(t)];
-        const DistanceRow row = ftopo.distance_row(here);
-        std::int64_t best_delta = 0;
-        int best_proc = -1;
-        for (const int q : faults.healthy_procs()) {
-          if (q == here) {
-            continue;
+    // Improvement sweeps over the displaced tasks only, with an
+    // exponentially growing radius: sweep k probes the healthy
+    // processors within 2^k faulted-topology hops of the task.
+    std::vector<int> candidates;
+    const SweepStats migrate = sweep_until_stable(
+        inc, displaced, options.max_attempts, deadline,
+        [&](int t, int sweep) -> const std::vector<int>& {
+          const int radius = sweep < 30 ? (1 << sweep)
+                                        : std::numeric_limits<int>::max() / 2;
+          const DistanceRow row = ftopo.distance_row(
+              inc.proc_of_task()[static_cast<std::size_t>(t)]);
+          candidates.clear();
+          for (const int q : faults.healthy_procs()) {
+            if (row[q] >= 0 && row[q] <= radius) candidates.push_back(q);
           }
-          const int d = row[q];
-          if (d < 0 || d > radius) {
-            continue;
-          }
-          const std::int64_t delta = inc.delta_move(t, q);
-          if (delta < best_delta) {
-            best_delta = delta;
-            best_proc = q;
-          }
-        }
-        if (best_proc >= 0) {
-          inc.apply_move(t, best_proc);
-          improved = true;
-        }
-      }
-      ++result.attempts;
-      if (result.deadline_hit || !improved) {
-        break;
-      }
-    }
+          return candidates;
+        },
+        [](const Move&) {});
+    result.attempts = migrate.sweeps;
+    result.deadline_hit = migrate.deadline_hit;
     // Record where each displaced task actually landed.
     for (RepairMove& move : result.migrations) {
       move.to_proc =
@@ -186,28 +148,24 @@ RepairResult repair_mapping(const TaskGraph& graph,
       trace::instant("deadline_hit", "migrate improvement loop");
     }
 
-    std::vector<int> repaired_proc = inc.proc_of_task();
-    std::vector<PhaseRouting> repaired_routing = inc.routing();
-
-    // --- Rung 2: local refinement polish (healthy candidates only:
-    // dead processors have no surviving links in the faulted graph).
+    // --- Rung 2: local refinement polish on the same evaluator
+    // (healthy candidates only: dead processors have no surviving
+    // links in the faulted graph).
     if (options.allow_refine && !deadline.passed()) {
       const trace::Span refine_span("refine");
-      PlacementRefineResult refined = refine_placement(
-          graph, ftopo, std::move(repaired_proc),
-          std::move(repaired_routing), options.model, /*load_bound_B=*/0,
-          /*max_passes=*/4, faults.faulted_link_factors());
+      const std::int64_t before = inc.completion();
+      const SweepStats refined =
+          refine_sweeps(graph, ftopo, inc, /*load_bound_B=*/0, deadline);
+      const std::int64_t improvement = before - inc.completion();
       if (refined.moves > 0) {
         result.rung = RepairRung::Refine;
-        result.details += "; refinement -" +
-                          std::to_string(refined.improvement()) +
+        result.details += "; refinement -" + std::to_string(improvement) +
                           " completion (" + std::to_string(refined.moves) +
                           " moves)";
       }
+      result.deadline_hit |= refined.deadline_hit;
       trace::counter("refine_moves", refined.moves);
-      trace::counter("refine_improvement", refined.improvement());
-      repaired_proc = std::move(refined.proc_of_task);
-      repaired_routing = std::move(refined.routing);
+      trace::counter("refine_improvement", improvement);
     } else if (options.allow_refine) {
       result.deadline_hit = true;
       result.details += "; refinement skipped (deadline)";
@@ -215,8 +173,7 @@ RepairResult repair_mapping(const TaskGraph& graph,
     }
 
     result.mapping = mapping_from_placement(
-        repaired_proc,
-        routing_to_base(faults, std::move(repaired_routing)),
+        inc.proc_of_task(), routing_to_base(faults, inc.routing()),
         base.num_procs());
   } else if (options.allow_remap) {
     // --- Rung 3: full remap on the compacted healthy machine. ---

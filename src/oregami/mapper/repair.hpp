@@ -10,14 +10,14 @@
 //   1. Migrate -- move ONLY the displaced tasks (those on dead or
 //      disconnected processors) to nearby healthy processors, re-route
 //      every communication edge around the dead links, then improve the
-//      displaced tasks' placement with IncrementalCompletion::delta_move
-//      probes under a bounded retry budget: each attempt doubles the
-//      search radius (1, 2, 4, ... hops), capped by `max_attempts` and
-//      the wall-clock deadline.
-//   2. Refine -- polish the migrated placement with refine_placement on
-//      the faulted topology (its candidate sets only ever contain
-//      healthy processors, because dead processors have no surviving
-//      links), weighted by the slow-link factors.
+//      displaced tasks' placement with the move engine's sweeps
+//      (mapper/local_search.hpp): attempt k is sweep k and probes the
+//      healthy processors within 2^k hops, capped by `max_attempts`
+//      and the wall-clock deadline.
+//   2. Refine -- polish the migrated placement with refine_sweeps on
+//      the same evaluator over the faulted topology (its candidate sets
+//      only ever contain healthy processors, because dead processors
+//      have no surviving links), weighted by the slow-link factors.
 //   3. Remap -- last resort (or forced via the rung switches): run the
 //      full MAPPER pipeline on the compacted healthy sub-topology and
 //      translate the result back to base processor ids.

@@ -108,6 +108,11 @@ class IncrementalCompletion {
     return history_.size();
   }
 
+  /// Forgets every recorded move (each holds copies of the task's
+  /// incident routes): the current state becomes the oldest one undo()
+  /// can reach. Searches call it where they never unwind past.
+  void clear_history() { history_.clear(); }
+
   /// Snapshot of comm phase `phase`'s per-link volumes and hop
   /// histogram (the trackers delta_move maintains). O(links).
   [[nodiscard]] CommPhaseSnapshot comm_snapshot(int phase) const;

@@ -12,6 +12,7 @@
 //     starting metrics (the edit loop's delta accounting has no leaks).
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -21,7 +22,9 @@
 #include "oregami/core/csr_graph.hpp"
 #include "oregami/core/synthetic.hpp"
 #include "oregami/mapper/anneal.hpp"
+#include "oregami/mapper/baselines.hpp"
 #include "oregami/mapper/driver.hpp"
+#include "oregami/mapper/local_search.hpp"
 #include "oregami/mapper/list_schedule.hpp"
 #include "oregami/mapper/mm_route.hpp"
 #include "oregami/mapper/mwm_contract.hpp"
@@ -73,13 +76,13 @@ Topology random_topology(SplitMix64& rng) {
   }
 }
 
-/// Random multi-phase task graph: 1-24 tasks, 1-3 comm phases with
-/// random directed edges and volumes, 0-2 exec phases with random
+/// Random multi-phase task graph: 1-`max_tasks` tasks, 1-3 comm phases
+/// with random directed edges and volumes, 0-2 exec phases with random
 /// costs, and (half the time) a phase expression sequencing every
 /// phase with a random repetition count.
-TaskGraph random_task_graph(SplitMix64& rng) {
+TaskGraph random_task_graph(SplitMix64& rng, int max_tasks = 24) {
   TaskGraph g;
-  const int n = static_cast<int>(rng.next_in(1, 24));
+  const int n = static_cast<int>(rng.next_in(1, max_tasks));
   for (int i = 0; i < n; ++i) {
     g.add_task("t" + std::to_string(i));
   }
@@ -272,6 +275,19 @@ PhaseTree random_phase_tree(SplitMix64& rng, const TaskGraph& g,
                        : PhaseTree::par(std::move(parts));
 }
 
+/// Up to three slowed links with factors 1-5 (no dead ones).
+FaultSpec random_slowed_links(SplitMix64& rng, const Topology& topo) {
+  FaultSpec slowed;
+  const auto num_slowed = rng.next_in(0, 3);
+  for (std::uint64_t i = 0; i < num_slowed && topo.num_links() > 0; ++i) {
+    slowed.slow_links.push_back(
+        {static_cast<int>(rng.next_below(
+             static_cast<std::uint64_t>(topo.num_links()))),
+         static_cast<int>(rng.next_in(1, 5))});
+  }
+  return slowed;
+}
+
 /// IncrementalCompletion invariants on a generated case: the cached
 /// completion matches completion_time(), every delta_move probe equals
 /// the realised apply_move delta (which in turn matches a from-scratch
@@ -292,15 +308,7 @@ void check_incremental_case(std::uint64_t case_seed) {
                            ? PhaseTree::idle()
                            : random_phase_tree(shape_rng, graph, 3));
   graph.validate();
-  FaultSpec slowed;
-  const auto num_slowed = shape_rng.next_in(0, 3);
-  for (std::uint64_t i = 0; i < num_slowed && topo.num_links() > 0; ++i) {
-    slowed.slow_links.push_back(
-        {static_cast<int>(shape_rng.next_below(
-             static_cast<std::uint64_t>(topo.num_links()))),
-         static_cast<int>(shape_rng.next_in(1, 5))});
-  }
-  const FaultedTopology faults(topo, slowed);
+  const FaultedTopology faults(topo, random_slowed_links(shape_rng, topo));
   const MapperReport report = map_computation(graph, topo, {});
 
   IncrementalCompletion inc(graph, topo, report.mapping);
@@ -357,6 +365,77 @@ TEST(Properties, IncrementalCompletionMatchesFullRecompute) {
   SplitMix64 seeder(kBaseSeed ^ 0xD15C0ULL);
   for (int i = 0; i < kCases; ++i) {
     check_incremental_case(seeder.next_u64());
+    if (HasFatalFailure()) {
+      return;
+    }
+  }
+}
+
+/// The move engine's termination contract against independent full
+/// scoring, on a tiny case (<= 8 tasks, 2-4 processors) with a random
+/// phase tree and slowed links: when sweep_until_stable stops before
+/// its cap, no single move of any task to any processor strictly
+/// improves the completion as completion_time(..., link_factor)
+/// re-scores it.
+void check_sweep_optimum_case(std::uint64_t case_seed) {
+  SCOPED_TRACE("case seed " + std::to_string(case_seed));
+  SplitMix64 rng(case_seed);
+  static const std::vector<std::string> kTiny = {
+      "chain:2", "chain:3", "chain:4",     "ring:3",    "ring:4",
+      "mesh:2x2", "star:4", "complete:4", "hypercube:2"};
+  const Topology topo = parse_topology_spec(
+      kTiny[rng.next_below(static_cast<std::uint64_t>(kTiny.size()))]);
+  TaskGraph graph = random_task_graph(rng, 8);
+  graph.set_phase_expr(rng.next_below(6) == 0
+                           ? PhaseTree::idle()
+                           : random_phase_tree(rng, graph, 3));
+  graph.validate();
+  const FaultedTopology faults(topo, random_slowed_links(rng, topo));
+  const std::vector<std::int64_t>& factors = faults.link_slowdowns();
+  std::vector<int> procs(static_cast<std::size_t>(graph.num_tasks()));
+  for (int& p : procs) {
+    p = static_cast<int>(
+        rng.next_below(static_cast<std::uint64_t>(topo.num_procs())));
+  }
+  IncrementalCompletion inc(graph, topo, procs,
+                            route_greedy_shortest(graph, procs, topo), {},
+                            factors);
+
+  std::vector<int> tasks(static_cast<std::size_t>(graph.num_tasks()));
+  std::iota(tasks.begin(), tasks.end(), 0);
+  std::vector<int> all(static_cast<std::size_t>(topo.num_procs()));
+  std::iota(all.begin(), all.end(), 0);
+  constexpr int kCap = 64;
+  const SweepStats stats = sweep_until_stable(
+      inc, tasks, kCap, Deadline(0),
+      [&](int, int) -> const std::vector<int>& { return all; },
+      [](const Move&) {});
+  ASSERT_EQ(inc.history_size(), 0u);
+  const std::int64_t settled = completion_time(
+      graph, inc.proc_of_task(), inc.routing(), topo, {}, factors);
+  ASSERT_EQ(settled, inc.completion());
+  if (stats.sweeps == kCap) {
+    return;  // capped, not settled: no optimality claim
+  }
+  for (const int t : tasks) {
+    for (const int q : all) {
+      if (q == inc.proc_of_task()[static_cast<std::size_t>(t)]) {
+        continue;
+      }
+      (void)inc.apply_move(t, q);
+      const std::int64_t moved = completion_time(
+          graph, inc.proc_of_task(), inc.routing(), topo, {}, factors);
+      ASSERT_TRUE(inc.undo());
+      ASSERT_GE(moved, settled) << "task " << t << " -> " << q
+                                << " improves a settled placement";
+    }
+  }
+}
+
+TEST(Properties, SweepStopsOnlyAtExactLocalOptimum) {
+  SplitMix64 seeder(kBaseSeed ^ 0x5EE9ULL);
+  for (int i = 0; i < kCases; ++i) {
+    check_sweep_optimum_case(seeder.next_u64());
     if (HasFatalFailure()) {
       return;
     }
