@@ -293,4 +293,14 @@ std::vector<CatalogEntry> catalog() {
   };
 }
 
+const CatalogEntry* find(std::string_view name) {
+  static const std::vector<CatalogEntry> entries = catalog();
+  for (const CatalogEntry& entry : entries) {
+    if (entry.name == name) {
+      return &entry;
+    }
+  }
+  return nullptr;
+}
+
 }  // namespace oregami::larcs::programs

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace oregami::larcs::programs {
@@ -76,5 +77,9 @@ struct CatalogEntry {
   std::vector<std::pair<std::string, long>> example_bindings;
 };
 [[nodiscard]] std::vector<CatalogEntry> catalog();
+
+/// The catalogue entry called `name`, or nullptr when there is none.
+/// The catalogue is built once, on the first call.
+[[nodiscard]] const CatalogEntry* find(std::string_view name);
 
 }  // namespace oregami::larcs::programs

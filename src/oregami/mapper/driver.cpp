@@ -44,7 +44,7 @@ MultilevelOptions multilevel_options_from(const MapperOptions& options) {
   ml.max_levels = options.multilevel > 0 ? options.multilevel : 0;
   ml.jobs = options.jobs;
   ml.seed = options.portfolio_seed;
-  ml.time_budget_ms = options.multilevel_budget_ms;
+  ml.time_budget_ms = options.time_budget_ms;
   return ml;
 }
 
@@ -181,10 +181,10 @@ MapperReport finish(MapStrategy strategy, std::string details,
   return report;
 }
 
-std::optional<MapperReport> try_canned(const TaskGraph& graph,
+std::optional<MapperReport> canned_for(const RecognizedFamily& family,
+                                       const TaskGraph& graph,
                                        const Topology& topo,
-                                       const MapperOptions& options,
-                                       const RecognizedFamily& family) {
+                                       const MapperOptions& options) {
   if (family.family == GraphFamily::Unknown) {
     trace::instant("canned_rejected");
     return std::nullopt;
@@ -261,33 +261,10 @@ MapperReport do_general(const TaskGraph& graph, const Topology& topo,
                 options);
 }
 
-}  // namespace
-
-std::optional<MapperReport> try_strategy(MapStrategy strategy,
-                                         const TaskGraph& graph,
+std::optional<MapperReport> try_systolic(const ProgramInput& program,
                                          const Topology& topo,
                                          const MapperOptions& options) {
-  if (graph.num_tasks() == 0) {
-    throw MappingError("cannot map an empty task graph");
-  }
-  switch (strategy) {
-    case MapStrategy::Canned:
-      return try_canned(graph, topo, options,
-                        recognize_family(graph.aggregate_graph()));
-    case MapStrategy::GroupTheoretic:
-      return try_group(graph, topo, options);
-    case MapStrategy::Systolic:
-      return std::nullopt;  // needs the LaRCS program; see try_systolic
-    case MapStrategy::General:
-      return do_general(graph, topo, options);
-  }
-  return std::nullopt;
-}
-
-std::optional<MapperReport> try_systolic(
-    const larcs::Program& program, const larcs::CompiledProgram& compiled,
-    const Topology& topo, const MapperOptions& options) {
-  const TaskGraph& graph = compiled.graph;
+  const TaskGraph& graph = program.compiled.graph;
   if (topo.family() != TopoFamily::Mesh &&
       topo.family() != TopoFamily::Torus &&
       topo.family() != TopoFamily::Chain &&
@@ -296,7 +273,7 @@ std::optional<MapperReport> try_systolic(
     return std::nullopt;
   }
   const trace::Span span("systolic");
-  auto systolic = systolic_map(program, compiled);
+  auto systolic = systolic_map(program.ast, program.compiled);
   if (!systolic || systolic->contraction.num_clusters > topo.num_procs()) {
     trace::instant("systolic_inadmissible");
     return std::nullopt;
@@ -309,6 +286,116 @@ std::optional<MapperReport> try_systolic(
                 graph, topo, options);
 }
 
+/// The canned lookup: first for the family a LaRCS program's hint
+/// names, when the task graph really has it; else for the family that
+/// structural recognition finds.
+std::optional<MapperReport> try_canned(const TaskGraph& graph,
+                                       const ProgramInput* program,
+                                       const Topology& topo,
+                                       const MapperOptions& options) {
+  if (program != nullptr && program->compiled.family_hint) {
+    const std::string& hint = *program->compiled.family_hint;
+    const GraphFamily hinted = family_from_hint(hint);
+    const auto family =
+        hinted == GraphFamily::Unknown
+            ? std::nullopt
+            : detect_specific_family(graph.aggregate_graph(), hinted);
+    if (family) {
+      if (auto report = canned_for(*family, graph, topo, options)) {
+        report->details = "family hint '" + hint + "'; " + report->details;
+        return report;
+      }
+    }
+  }
+  return canned_for(recognize_family(graph.aggregate_graph()), graph, topo,
+                    options);
+}
+
+/// The one mapping path behind map_computation and map_program
+/// (`program` null for a bare task graph): degraded redirect, then the
+/// multilevel or portfolio dispatch, else the Fig-3 chain.
+MapperReport map_graph(const TaskGraph& graph, const ProgramInput* program,
+                       const Topology& topo, const MapperOptions& options) {
+  if (graph.num_tasks() == 0) {
+    throw MappingError("cannot map an empty task graph");
+  }
+  if (options.faults != nullptr && !options.faults->spec().empty()) {
+    // Degraded-mode redirect: map onto the compacted healthy
+    // sub-topology, then translate back to base ids.
+    const FaultedTopology& faults = *options.faults;
+    if (faults.base().num_procs() != topo.num_procs()) {
+      throw MappingError(
+          "MapperOptions::faults is for a different topology (" +
+          faults.base().name() + " vs " + topo.name() + ")");
+    }
+    if (faults.healthy_procs().empty()) {
+      throw MappingError(
+          "cannot map onto the faulted topology: no healthy processors "
+          "remain (spec: " + faults.spec().to_string() + ")");
+    }
+    const trace::Span span("degraded_map");
+    const FaultedTopology::HealthySub sub = faults.healthy_subtopology();
+    MapperOptions healthy = options;
+    healthy.faults = nullptr;
+    MapperReport report = map_graph(graph, program, sub.topo, healthy);
+    report.mapping = map_to_base(sub, std::move(report.mapping));
+    report.details = "degraded machine (" + faults.spec().to_string() +
+                     "; " + std::to_string(sub.topo.num_procs()) + "/" +
+                     std::to_string(faults.base().num_procs()) +
+                     " processors healthy); " + report.details;
+    validate_mapping(report.mapping, graph, faults.base());
+    return report;
+  }
+  if (options.multilevel != 0) {
+    // Large-graph path: the systolic/canned recognisers are built for
+    // paper-scale structure; the V-cycle takes over the whole pipeline.
+    return map_multilevel(graph, topo, multilevel_options_from(options));
+  }
+  if (options.portfolio > 0) {
+    const PortfolioOptions popts = portfolio_options_from(options);
+    return (program != nullptr
+                ? portfolio_map_program(program->ast, program->compiled,
+                                        topo, options, popts)
+                : portfolio_map_computation(graph, topo, options, popts))
+        .best;
+  }
+  const trace::Span span("map");
+  for (const StrategyAttempt& attempt :
+       fig3_strategies(graph, program, topo, options, /*family_hint=*/true)) {
+    if (auto report = attempt.run()) {
+      return *report;
+    }
+  }
+  return do_general(graph, topo, options);
+}
+
+}  // namespace
+
+std::vector<StrategyAttempt> fig3_strategies(const TaskGraph& graph,
+                                             const ProgramInput* program,
+                                             const Topology& topo,
+                                             const MapperOptions& options,
+                                             bool family_hint) {
+  std::vector<StrategyAttempt> attempts;
+  if (program != nullptr && options.allow_systolic) {
+    attempts.push_back({"systolic", [program, &topo, options] {
+                          return try_systolic(*program, topo, options);
+                        }});
+  }
+  if (options.allow_canned) {
+    const ProgramInput* hinted = family_hint ? program : nullptr;
+    attempts.push_back({"canned", [&graph, hinted, &topo, options] {
+                          return try_canned(graph, hinted, topo, options);
+                        }});
+  }
+  if (options.allow_group) {
+    attempts.push_back({"group-theoretic", [&graph, &topo, options] {
+                          return try_group(graph, topo, options);
+                        }});
+  }
+  return attempts;
+}
+
 MapperReport map_general_seeded(const TaskGraph& graph, const Topology& topo,
                                 const MapperOptions& options,
                                 std::uint64_t nn_seed) {
@@ -318,124 +405,45 @@ MapperReport map_general_seeded(const TaskGraph& graph, const Topology& topo,
   return do_general(graph, topo, options, nn_seed);
 }
 
-namespace {
-
-/// Degraded-mode redirect: runs the requested pipeline on the compacted
-/// healthy sub-topology and translates back to base ids. `options` is
-/// taken by value so the recursion sees faults == nullptr.
-MapperReport map_degraded(const TaskGraph& graph,
-                          const FaultedTopology& faults,
-                          const Topology& topo, MapperOptions options,
-                          const larcs::Program* program,
-                          const larcs::CompiledProgram* compiled) {
-  if (faults.base().num_procs() != topo.num_procs()) {
-    throw MappingError(
-        "MapperOptions::faults is for a different topology (" +
-        faults.base().name() + " vs " + topo.name() + ")");
+std::string check_mapper_options(const MapperOptions& options,
+                                 std::string_view prefix) {
+  const std::string p(prefix);
+  if (options.portfolio < 0) {
+    return p + "portfolio must be >= 0";
   }
-  if (faults.healthy_procs().empty()) {
-    throw MappingError(
-        "cannot map onto the faulted topology: no healthy processors "
-        "remain (spec: " + faults.spec().to_string() + ")");
+  if (options.anneal < 0) {
+    return p + "anneal must be >= 0";
   }
-  const trace::Span span("degraded_map");
-  const FaultedTopology::HealthySub sub = faults.healthy_subtopology();
-  options.faults = nullptr;
-  MapperReport report =
-      program != nullptr
-          ? map_program(*program, *compiled, sub.topo, options)
-          : map_computation(graph, sub.topo, options);
-  report.mapping = map_to_base(sub, std::move(report.mapping));
-  report.details = "degraded machine (" + faults.spec().to_string() +
-                   "; " + std::to_string(sub.topo.num_procs()) + "/" +
-                   std::to_string(faults.base().num_procs()) +
-                   " processors healthy); " + report.details;
-  validate_mapping(report.mapping, graph, faults.base());
-  return report;
+  if (options.jobs < 0) {
+    return p + "jobs must be >= 0 (0 = all cores)";
+  }
+  if (options.multilevel < -1 || options.multilevel > 64) {
+    return p + "multilevel must be 0 (off), -1 (auto depth) or 1..64 "
+               "(level cap)";
+  }
+  if (options.anneal > 0 && options.portfolio == 0) {
+    return p + "anneal requires " + p + "portfolio > 0";
+  }
+  if (options.heft && options.portfolio == 0) {
+    return p + "heft requires " + p + "portfolio > 0";
+  }
+  if (options.multilevel != 0 && options.portfolio > 0) {
+    return p + "multilevel is incompatible with " + p + "portfolio";
+  }
+  return {};
 }
-
-}  // namespace
 
 MapperReport map_computation(const TaskGraph& graph, const Topology& topo,
                              const MapperOptions& options) {
-  if (graph.num_tasks() == 0) {
-    throw MappingError("cannot map an empty task graph");
-  }
-  if (options.faults != nullptr && !options.faults->spec().empty()) {
-    return map_degraded(graph, *options.faults, topo, options, nullptr,
-                        nullptr);
-  }
-  if (options.multilevel != 0) {
-    return map_multilevel(graph, topo, multilevel_options_from(options));
-  }
-  if (options.portfolio > 0) {
-    return portfolio_map_computation(graph, topo, options,
-                                     portfolio_options_from(options))
-        .best;
-  }
-  const trace::Span span("map");
-  if (options.allow_canned) {
-    const RecognizedFamily family =
-        recognize_family(graph.aggregate_graph());
-    if (auto report = try_canned(graph, topo, options, family)) {
-      return *report;
-    }
-  }
-  if (options.allow_group) {
-    if (auto report = try_group(graph, topo, options)) {
-      return *report;
-    }
-  }
-  return do_general(graph, topo, options);
+  return map_graph(graph, nullptr, topo, options);
 }
 
 MapperReport map_program(const larcs::Program& program,
                          const larcs::CompiledProgram& compiled,
                          const Topology& topo,
                          const MapperOptions& options) {
-  const TaskGraph& graph = compiled.graph;
-  if (graph.num_tasks() == 0) {
-    throw MappingError("cannot map an empty task graph");
-  }
-  if (options.faults != nullptr && !options.faults->spec().empty()) {
-    return map_degraded(graph, *options.faults, topo, options, &program,
-                        &compiled);
-  }
-  if (options.multilevel != 0) {
-    // Large-graph path: the systolic/canned recognisers are built for
-    // paper-scale structure; the V-cycle takes over the whole pipeline.
-    return map_multilevel(graph, topo, multilevel_options_from(options));
-  }
-  if (options.portfolio > 0) {
-    return portfolio_map_program(program, compiled, topo, options,
-                                 portfolio_options_from(options))
-        .best;
-  }
-
-  // Systolic path: uniform recurrence onto an array-like target.
-  if (options.allow_systolic) {
-    if (auto report = try_systolic(program, compiled, topo, options)) {
-      return *report;
-    }
-  }
-
-  // Family hint from the LaRCS source.
-  if (options.allow_canned && compiled.family_hint) {
-    const GraphFamily hinted = family_from_hint(*compiled.family_hint);
-    if (hinted != GraphFamily::Unknown) {
-      const auto family =
-          detect_specific_family(graph.aggregate_graph(), hinted);
-      if (family) {
-        if (auto report = try_canned(graph, topo, options, *family)) {
-          report->details = "family hint '" + *compiled.family_hint +
-                            "'; " + report->details;
-          return *report;
-        }
-      }
-    }
-  }
-
-  return map_computation(graph, topo, options);
+  const ProgramInput input{program, compiled};
+  return map_graph(compiled.graph, &input, topo, options);
 }
 
 void validate_mapping(const Mapping& mapping, const TaskGraph& graph,

@@ -13,8 +13,11 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "oregami/arch/fault_model.hpp"
 #include "oregami/arch/topology.hpp"
@@ -52,31 +55,28 @@ struct MapperOptions {
   /// change outputs, and the portfolio's bit-determinism contract pins
   /// the default pipeline.
   bool refine_placement = false;
-  /// Portfolio mode (mapper/portfolio.hpp): when > 0,
-  /// map_computation/map_program run every admissible Fig-3 strategy
-  /// plus this many seeded general-path variants concurrently and
-  /// return the best-scoring mapping. The result is bit-deterministic
-  /// in `portfolio_seed` and independent of `jobs`.
+  /// Portfolio mode (mapper/portfolio.hpp): when > 0, every admissible
+  /// Fig-3 strategy plus this many seeded general-path variants run
+  /// concurrently and the best-scoring mapping wins. The result is
+  /// bit-deterministic in `portfolio_seed` and independent of `jobs`.
   int portfolio = 0;
-  /// Portfolio-only extensions (both off by default so every golden
-  /// portfolio output stays byte-identical): `anneal` > 0 adds that
-  /// many seeded simulated-annealing candidates (mapper/anneal.hpp);
-  /// `heft` adds the HEFT critical-path list-scheduling candidate
-  /// (mapper/list_schedule.hpp). Both are ignored when portfolio == 0.
+  /// Extra portfolio candidates (check_mapper_options: both need
+  /// `portfolio` > 0): `anneal` seeded simulated-annealing chains
+  /// (mapper/anneal.hpp) and the HEFT critical-path list schedule
+  /// (mapper/list_schedule.hpp).
   int anneal = 0;
   bool heft = false;
   /// Multilevel V-cycle mapper (mapper/multilevel.hpp) for large
-  /// graphs: 0 = off (default, keeping every existing output
-  /// byte-identical), < 0 = on with automatic coarsening depth, > 0 =
-  /// on with that many coarsening levels at most. When on it replaces
-  /// the whole Fig-3 decision tree (and the portfolio); the degraded-
-  /// mode redirect still composes — faults are applied first, then the
-  /// V-cycle runs on the healthy sub-topology.
+  /// graphs: 0 = off, -1 = automatic coarsening depth, 1..64 = that many
+  /// coarsening levels at most. It replaces the whole Fig-3 decision
+  /// tree, so it excludes `portfolio`; the degraded-mode redirect still
+  /// composes -- faults are applied first, then the V-cycle runs on the
+  /// healthy sub-topology.
   int multilevel = 0;
-  /// Wall-clock budget for the multilevel refinement sweeps
-  /// (support/deadline.hpp idiom; 0 = none). Ignored when
-  /// `multilevel` == 0.
-  std::int64_t multilevel_budget_ms = 0;
+  /// Wall-clock budget (support/deadline.hpp idiom) for the portfolio
+  /// search and the multilevel refinement sweeps alike: 0 = none,
+  /// < 0 = already expired (the portfolio runs only candidate 0).
+  std::int64_t time_budget_ms = 0;
   int jobs = 1;  ///< portfolio/multilevel workers; 0 = hardware_concurrency
   std::uint64_t portfolio_seed = 0x09E6A311u;  ///< candidate RNG base seed
   /// Degraded-mode mapping (not owned; must outlive the call). When set
@@ -94,6 +94,15 @@ struct MapperReport {
   Mapping mapping;
 };
 
+/// Checks the option ranges and combinations every front end shares:
+/// `portfolio`, `anneal` and `jobs` are >= 0, `multilevel` is 0, -1 or
+/// 1..64, `anneal` and `heft` need `portfolio` > 0, and `multilevel`
+/// excludes `portfolio`. Returns "" when the options are valid, else a
+/// message naming each option as `prefix` + field ("options." for the
+/// wire, "--" for the CLI).
+[[nodiscard]] std::string check_mapper_options(const MapperOptions& options,
+                                               std::string_view prefix);
+
 /// Maps a task graph (no LaRCS context) to `topo`. Tries canned, then
 /// group-theoretic, then the general path.
 [[nodiscard]] MapperReport map_computation(
@@ -107,21 +116,29 @@ struct MapperReport {
     const larcs::Program& program, const larcs::CompiledProgram& compiled,
     const Topology& topo, const MapperOptions& options = {});
 
-/// Attempts exactly one strategy from the Fig-3 decision tree, without
-/// falling through to the next. Canned/GroupTheoretic return nullopt
-/// when inadmissible; General always succeeds; Systolic always returns
-/// nullopt here (it needs the LaRCS program -- use try_systolic).
-/// `options.portfolio` is ignored. Used by the portfolio mapper to run
-/// the strategies as independent candidates.
-[[nodiscard]] std::optional<MapperReport> try_strategy(
-    MapStrategy strategy, const TaskGraph& graph, const Topology& topo,
-    const MapperOptions& options = {});
+/// The LaRCS program behind a task graph (`compiled.graph`), for callers
+/// that have one: it admits systolic synthesis and the family hint.
+struct ProgramInput {
+  const larcs::Program& ast;
+  const larcs::CompiledProgram& compiled;
+};
 
-/// Attempts only systolic synthesis (uniform recurrence onto an
-/// array-like target); nullopt when inadmissible.
-[[nodiscard]] std::optional<MapperReport> try_systolic(
-    const larcs::Program& program, const larcs::CompiledProgram& compiled,
-    const Topology& topo, const MapperOptions& options = {});
+/// One strategy of the Fig-3 chain, run on its own: `run` returns
+/// nullopt when the strategy is inadmissible for the inputs.
+struct StrategyAttempt {
+  std::string label;
+  std::function<std::optional<MapperReport>()> run;
+};
+
+/// The Fig-3 chain ahead of the general path, in order and as the
+/// `allow_*` gates admit: "systolic" (only with a `program`), "canned"
+/// (the program's family hint first when `family_hint`), and
+/// "group-theoretic". The single-shot mapper takes the first that maps;
+/// the portfolio runs each as a candidate. The attempts reference
+/// `graph`, `program` and `topo`, which must outlive them.
+[[nodiscard]] std::vector<StrategyAttempt> fig3_strategies(
+    const TaskGraph& graph, const ProgramInput* program, const Topology& topo,
+    const MapperOptions& options, bool family_hint);
 
 /// The general path (MWM-Contract [+ refine] + NN-Embed + MM-Route)
 /// with an explicit NN-Embed tie-break seed; `nn_seed` = 0 keeps the

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <functional>
 #include <future>
 #include <sstream>
 #include <tuple>
@@ -11,6 +10,7 @@
 
 #include "oregami/mapper/anneal.hpp"
 #include "oregami/mapper/list_schedule.hpp"
+#include "oregami/support/deadline.hpp"
 #include "oregami/support/error.hpp"
 #include "oregami/support/rng.hpp"
 #include "oregami/support/text_table.hpp"
@@ -26,6 +26,7 @@ PortfolioOptions portfolio_options_from(const MapperOptions& options) {
   popts.seed = options.portfolio_seed;
   popts.num_anneal = options.anneal;
   popts.heft = options.heft;
+  popts.time_budget_ms = options.time_budget_ms;
   return popts;
 }
 
@@ -41,16 +42,11 @@ SplitMix64 candidate_stream(std::uint64_t base_seed, int id) {
   return mix;
 }
 
-struct CandidateSpec {
-  std::string label;
-  std::function<std::optional<MapperReport>()> run;
-};
-
 /// The seeded general-path variants: cycle the MWM-Contract load bound
 /// through {default, tightest feasible, default+1, default+2}, toggle
 /// refinement every four variants, and give every variant its own
 /// NN-Embed tie-break seed.
-void add_seeded_variants(std::vector<CandidateSpec>* specs,
+void add_seeded_variants(std::vector<StrategyAttempt>* specs,
                          const TaskGraph& graph, const Topology& topo,
                          const MapperOptions& base,
                          const PortfolioOptions& options) {
@@ -62,7 +58,6 @@ void add_seeded_variants(std::vector<CandidateSpec>* specs,
   const int first_id = static_cast<int>(specs->size());
   for (int i = 0; i < options.num_seeded; ++i) {
     MapperOptions variant = base;
-    variant.portfolio = 0;
     variant.load_bound_B = bounds[i % 4];
     variant.refine = (i % 8) >= 4;
     SplitMix64 stream = candidate_stream(options.seed, first_id + i);
@@ -88,7 +83,7 @@ void add_seeded_variants(std::vector<CandidateSpec>* specs,
 /// (seed, id)-derived move stream; the portfolio's global time budget
 /// is forwarded so a positive deadline also bounds each chain, while
 /// non-positive budgets stay clock-free and bit-deterministic.
-void add_extended_candidates(std::vector<CandidateSpec>* specs,
+void add_extended_candidates(std::vector<StrategyAttempt>* specs,
                              const TaskGraph& graph, const Topology& topo,
                              const MapperOptions& base,
                              const PortfolioOptions& options) {
@@ -117,8 +112,6 @@ void add_extended_candidates(std::vector<CandidateSpec>* specs,
   }
   const int first_id = static_cast<int>(specs->size());
   for (int i = 0; i < options.num_anneal; ++i) {
-    MapperOptions variant = base;
-    variant.portfolio = 0;
     SplitMix64 stream = candidate_stream(options.seed, first_id + i);
     AnnealOptions aopts;
     aopts.seed = stream.next_u64();
@@ -126,8 +119,8 @@ void add_extended_candidates(std::vector<CandidateSpec>* specs,
     aopts.time_budget_ms = options.time_budget_ms;
     specs->push_back(
         {"anneal seed#" + std::to_string(i),
-         [&graph, &topo, variant, aopts, model = options.model] {
-           MapperReport init = map_general_seeded(graph, topo, variant, 0);
+         [&graph, &topo, base, aopts, model = options.model] {
+           MapperReport init = map_general_seeded(graph, topo, base, 0);
            AnnealResult sa = anneal_placement(
                graph, topo, init.mapping.proc_of_task(),
                std::move(init.mapping.routing), model, aopts);
@@ -199,7 +192,7 @@ void record_win_reason(PortfolioReport* report) {
 
 PortfolioReport run_portfolio(const TaskGraph& graph, const Topology& topo,
                               const PortfolioOptions& options,
-                              std::vector<CandidateSpec> specs) {
+                              std::vector<StrategyAttempt> specs) {
   const trace::Span portfolio_span("portfolio");
   const auto search_start = std::chrono::steady_clock::now();
   // Shared read-only state really is read-only under the pool: regular
@@ -207,27 +200,15 @@ PortfolioReport run_portfolio(const TaskGraph& graph, const Topology& topo,
   // Custom family's lazy BFS table is published under std::call_once,
   // so no pre-warm is needed before fanning out.
   ThreadPool pool(options.jobs, "portfolio");
-  // Deadline support: non-positive budgets never consult the clock
-  // (0 = none, < 0 = already expired), keeping those modes
+  // Non-positive budgets never consult the clock, keeping those modes
   // bit-deterministic. Candidate 0 is exempt so a result always exists.
-  const std::int64_t budget = options.time_budget_ms;
-  const auto deadline_at =
-      search_start + std::chrono::milliseconds(budget > 0 ? budget : 0);
-  const auto deadline_passed = [budget, deadline_at] {
-    if (budget == 0) {
-      return false;
-    }
-    if (budget < 0) {
-      return true;
-    }
-    return std::chrono::steady_clock::now() >= deadline_at;
-  };
+  const Deadline deadline(options.time_budget_ms);
   std::vector<std::future<PortfolioCandidate>> futures;
   futures.reserve(specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
     futures.push_back(pool.submit(
-        [spec = std::move(specs[i]), id = static_cast<int>(i),
-         deadline_passed, search_start] {
+        [spec = std::move(specs[i]), id = static_cast<int>(i), deadline,
+         search_start] {
           // Every candidate's events land under the same deterministic
           // lane path no matter which worker (or the sole jobs=1
           // worker) picked the task up.
@@ -239,7 +220,7 @@ PortfolioReport run_portfolio(const TaskGraph& graph, const Topology& topo,
           candidate.id = id;
           candidate.label = spec.label;
           const auto t0 = std::chrono::steady_clock::now();
-          if (id != 0 && deadline_passed()) {
+          if (id != 0 && deadline.passed()) {
             candidate.note = "skipped (deadline)";
             candidate.skipped = true;
             // Not "how long the candidate ran" (it never did) but when
@@ -496,42 +477,53 @@ std::string PortfolioReport::pareto() const {
   return out.str();
 }
 
-PortfolioReport portfolio_map_computation(const TaskGraph& graph,
-                                          const Topology& topo,
-                                          const MapperOptions& base,
-                                          const PortfolioOptions& options) {
+namespace {
+
+/// The one candidate-list builder behind both public entry points
+/// (`program` null for a bare task graph): the single-shot pipeline,
+/// each admissible Fig-3 strategy, the general path with refinement
+/// toggled, the seeded variants and the extended families.
+PortfolioReport portfolio_map(const TaskGraph& graph,
+                              const ProgramInput* program,
+                              const Topology& topo, const MapperOptions& base,
+                              const PortfolioOptions& options) {
   if (graph.num_tasks() == 0) {
     throw MappingError("cannot map an empty task graph");
   }
   MapperOptions single = base;
   single.portfolio = 0;
-  std::vector<CandidateSpec> specs;
-  specs.push_back({"fig3 single-shot", [&graph, &topo, single] {
+  std::vector<StrategyAttempt> specs;
+  specs.push_back({"fig3 single-shot", [&graph, program, &topo, single] {
                      return std::optional<MapperReport>(
-                         map_computation(graph, topo, single));
+                         program != nullptr
+                             ? map_program(program->ast, program->compiled,
+                                           topo, single)
+                             : map_computation(graph, topo, single));
                    }});
-  if (single.allow_canned) {
-    specs.push_back({"canned", [&graph, &topo, single] {
-                       return try_strategy(MapStrategy::Canned, graph, topo,
-                                           single);
-                     }});
-  }
-  if (single.allow_group) {
-    specs.push_back({"group-theoretic", [&graph, &topo, single] {
-                       return try_strategy(MapStrategy::GroupTheoretic,
-                                           graph, topo, single);
-                     }});
+  for (StrategyAttempt& attempt : fig3_strategies(
+           graph, program, topo, single, /*family_hint=*/false)) {
+    specs.push_back(std::move(attempt));
   }
   MapperOptions flipped = single;
   flipped.refine = !single.refine;
   specs.push_back(
       {std::string("general ") + (flipped.refine ? "refine" : "no-refine"),
        [&graph, &topo, flipped] {
-         return try_strategy(MapStrategy::General, graph, topo, flipped);
+         return std::optional<MapperReport>(
+             map_general_seeded(graph, topo, flipped, 0));
        }});
   add_seeded_variants(&specs, graph, topo, single, options);
   add_extended_candidates(&specs, graph, topo, single, options);
   return run_portfolio(graph, topo, options, std::move(specs));
+}
+
+}  // namespace
+
+PortfolioReport portfolio_map_computation(const TaskGraph& graph,
+                                          const Topology& topo,
+                                          const MapperOptions& base,
+                                          const PortfolioOptions& options) {
+  return portfolio_map(graph, nullptr, topo, base, options);
 }
 
 PortfolioReport portfolio_map_program(const larcs::Program& program,
@@ -539,45 +531,8 @@ PortfolioReport portfolio_map_program(const larcs::Program& program,
                                       const Topology& topo,
                                       const MapperOptions& base,
                                       const PortfolioOptions& options) {
-  const TaskGraph& graph = compiled.graph;
-  if (graph.num_tasks() == 0) {
-    throw MappingError("cannot map an empty task graph");
-  }
-  MapperOptions single = base;
-  single.portfolio = 0;
-  std::vector<CandidateSpec> specs;
-  specs.push_back({"fig3 single-shot",
-                   [&program, &compiled, &topo, single] {
-                     return std::optional<MapperReport>(
-                         map_program(program, compiled, topo, single));
-                   }});
-  if (single.allow_systolic) {
-    specs.push_back({"systolic", [&program, &compiled, &topo, single] {
-                       return try_systolic(program, compiled, topo, single);
-                     }});
-  }
-  if (single.allow_canned) {
-    specs.push_back({"canned", [&graph, &topo, single] {
-                       return try_strategy(MapStrategy::Canned, graph, topo,
-                                           single);
-                     }});
-  }
-  if (single.allow_group) {
-    specs.push_back({"group-theoretic", [&graph, &topo, single] {
-                       return try_strategy(MapStrategy::GroupTheoretic,
-                                           graph, topo, single);
-                     }});
-  }
-  MapperOptions flipped = single;
-  flipped.refine = !single.refine;
-  specs.push_back(
-      {std::string("general ") + (flipped.refine ? "refine" : "no-refine"),
-       [&graph, &topo, flipped] {
-         return try_strategy(MapStrategy::General, graph, topo, flipped);
-       }});
-  add_seeded_variants(&specs, graph, topo, single, options);
-  add_extended_candidates(&specs, graph, topo, single, options);
-  return run_portfolio(graph, topo, options, std::move(specs));
+  const ProgramInput input{program, compiled};
+  return portfolio_map(compiled.graph, &input, topo, base, options);
 }
 
 }  // namespace oregami

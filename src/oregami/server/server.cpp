@@ -52,19 +52,13 @@ CompiledJob compile_job(const WireJob& job) {
   const std::string prefix = "job " + job.id + ": ";
   std::string source;
   if (!job.program.empty()) {
-    bool found = false;
-    for (const auto& entry : larcs::programs::catalog()) {
-      if (entry.name == job.program) {
-        source = entry.source;
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
+    const auto* entry = larcs::programs::find(job.program);
+    if (entry == nullptr) {
       throw WireError(kJobBadInput, prefix + "unknown program \"" +
                                         job.program +
                                         "\" (see --list-programs)");
     }
+    source = entry->source;
   } else if (!job.program_file.empty()) {
     std::ifstream in(job.program_file);
     if (!in) {

@@ -16,6 +16,13 @@
 //                "no_systolic": false, "jobs": 1, "budget_ms": 0},
 //    "deadline_ms": 50}             // optional per-job deadline
 //
+// Options follow the CLI's flags and rules (check_mapper_options in
+// mapper/driver.hpp; a violation is code 2): anneal and heft need
+// portfolio > 0, multilevel (0 off, -1 auto, 1..64) excludes portfolio.
+// budget_ms, like the CLI's --time-budget, bounds the portfolio search
+// and the multilevel refinement alike (0 = none, < 0 = already expired:
+// the portfolio runs only its Fig-3 candidate).
+//
 // Result line, success:
 //   {"id":"7","status":"ok","digest":"<16 hex>","cache":"hit|miss",
 //    "strategy":"General","completion":N,"external_ipc":N,

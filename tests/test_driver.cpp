@@ -15,6 +15,43 @@ larcs::CompiledProgram compile_named(
   return larcs::compile_source(source, bindings);
 }
 
+TEST(Driver, CheckMapperOptionsNamesTheBrokenRuleWithThePrefix) {
+  const auto check = [](void (*set)(MapperOptions&)) {
+    MapperOptions options;
+    set(options);
+    return check_mapper_options(options, "--");
+  };
+  EXPECT_EQ(check([](MapperOptions&) {}), "");
+  EXPECT_EQ(check([](MapperOptions& o) {
+              o.portfolio = 4;
+              o.anneal = 1;
+              o.heft = true;
+            }),
+            "");
+  EXPECT_EQ(check([](MapperOptions& o) {
+              o.multilevel = -1;
+              o.jobs = 3;
+            }),
+            "");
+  EXPECT_EQ(check([](MapperOptions& o) { o.multilevel = 64; }), "");
+  EXPECT_EQ(check([](MapperOptions& o) { o.portfolio = -1; }),
+            "--portfolio must be >= 0");
+  EXPECT_EQ(check([](MapperOptions& o) { o.jobs = -1; }),
+            "--jobs must be >= 0 (0 = all cores)");
+  EXPECT_EQ(check([](MapperOptions& o) { o.multilevel = -2; }),
+            "--multilevel must be 0 (off), -1 (auto depth) or 1..64 "
+            "(level cap)");
+  EXPECT_EQ(check([](MapperOptions& o) { o.anneal = 2; }),
+            "--anneal requires --portfolio > 0");
+  EXPECT_EQ(check([](MapperOptions& o) { o.heft = true; }),
+            "--heft requires --portfolio > 0");
+  EXPECT_EQ(check([](MapperOptions& o) {
+              o.multilevel = 3;
+              o.portfolio = 1;
+            }),
+            "--multilevel is incompatible with --portfolio");
+}
+
 TEST(Driver, RingPipelinePicksCannedStrategy) {
   const auto cp = compile_named(larcs::programs::ring_pipeline(),
                                 {{"n", 16}, {"stages", 4}});

@@ -124,6 +124,17 @@ TEST(Compiler, WholeCatalogCompiles) {
   }
 }
 
+TEST(Compiler, CatalogFindReturnsOneStableEntryOrNull) {
+  for (const auto& entry : programs::catalog()) {
+    const programs::CatalogEntry* found = programs::find(entry.name);
+    ASSERT_NE(found, nullptr) << entry.name;
+    EXPECT_EQ(found->source, entry.source);
+    EXPECT_EQ(programs::find(entry.name), found);  // built once
+  }
+  EXPECT_EQ(programs::find("no-such-program"), nullptr);
+  EXPECT_EQ(programs::find(""), nullptr);
+}
+
 TEST(Compiler, FftStagesFormButterfly) {
   const auto cp = compile_source(programs::fft(3), {{"n", 8}});
   const auto& g = cp.graph;

@@ -11,7 +11,11 @@
 #include <string>
 #include <vector>
 
+#include "oregami/arch/topology_spec.hpp"
+#include "oregami/larcs/compiler.hpp"
+#include "oregami/larcs/parser.hpp"
 #include "oregami/larcs/programs.hpp"
+#include "oregami/server/digest.hpp"
 #include "oregami/server/persist.hpp"
 #include "oregami/server/server.hpp"
 #include "oregami/server/telemetry.hpp"
@@ -102,10 +106,57 @@ TEST(WireParse, RejectsBadJobsWithQuotableMessages) {
       R"({"id":1,"program":"x","topology":"ring:2",)"
       R"("options":{"multilevel":-1,"portfolio":4}})",
       kJobMalformed, "incompatible");
+  expect_parse_error(
+      R"({"id":1,"program":"x","topology":"ring:2",)"
+      R"("options":{"heft":true}})",
+      kJobMalformed, "options.heft requires options.portfolio");
+  // Ranges: multilevel is 0, -1 or 1..64; counts are never negative.
+  for (const char* bad : {"-2", "65"}) {
+    expect_parse_error(
+        std::string(R"({"id":1,"program":"x","topology":"ring:2",)") +
+            R"("options":{"multilevel":)" + bad + "}}",
+        kJobMalformed, "options.multilevel must be 0 (off)");
+  }
+  // A count beyond int is refused, not wrapped (2^32 would wrap to 0).
+  expect_parse_error(
+      R"({"id":1,"program":"x","topology":"ring:2",)"
+      R"("options":{"portfolio":4294967296}})",
+      kJobMalformed, "field \"options.portfolio\" is out of range");
+  for (const char* field : {"jobs", "portfolio", "anneal"}) {
+    expect_parse_error(
+        std::string(R"({"id":1,"program":"x","topology":"ring:2",)") +
+            R"("options":{")" + field + R"(":-1}})",
+        kJobMalformed, std::string("options.") + field + " must be >= 0");
+  }
   // Every parse error names the job once an id is known.
   expect_parse_error(
       R"({"id":7,"program":"x","topology":"ring:2","frob":1})",
       kJobMalformed, "job 7:");
+}
+
+TEST(WireParse, BenchmarkOptionSpellingsKeepTheirCacheKeys) {
+  // The option spellings mapbench's workloads send, each pinned to the
+  // cache key it had before the time budget became one field: renaming
+  // or re-deriving options must never move a warm cache's keys.
+  const std::vector<std::pair<std::string, std::string>> pins = {
+      {"{}", "7bb2d7d76f7682a2"},
+      {R"({"portfolio":4})", "dbc482c58445d6d6"},
+      {R"({"portfolio":4,"anneal":1,"heft":true})", "da9bdaf35c994f36"},
+      {R"({"multilevel":-1,"jobs":3})", "4a19a42e30fc5eea"},
+  };
+  const larcs::Program ast = larcs::parse_program(larcs::programs::jacobi());
+  for (const auto& [options, digest] : pins) {
+    const WireJob job = parse_job(
+        R"({"id":1,"program":"jacobi","bind":{"n":8,"iters":10},)"
+        R"("topology":"mesh:4x4","options":)" + options + "}",
+        1);
+    const larcs::CompiledProgram compiled = larcs::compile(ast, job.bindings);
+    EXPECT_EQ(digest_hex(job_digest(compiled.graph,
+                                    parse_topology_spec(job.topology),
+                                    job.options)),
+              digest)
+        << options;
+  }
 }
 
 // -------------------------------------------------------- formatting
@@ -322,6 +373,32 @@ TEST(Serve, TopologyOutsideItsFamilysDomainIsBadInputNotACrash) {
   expect_contains(lines[0], "torus dimensions must be >= 3");
   expect_contains(lines[1], "\"id\":\"2\"");
   expect_contains(lines[1], "\"status\":\"ok\"");
+}
+
+TEST(Serve, ExpiredBudgetLeavesPortfolioJobsTheFig3Answer) {
+  // budget_ms bounds the portfolio search: an already-expired budget
+  // runs only candidate 0, the Fig-3 single-shot mapping, so the job
+  // places every task exactly as the same job without options does.
+  const std::string job =
+      R"("program":"nbody","bind":{"n":15,"s":4,"m":8},)"
+      R"("topology":"torus:4x4","options":)";
+  const std::string stream =
+      "{\"id\":1," + job + "{}}\n" + "{\"id\":2," + job +
+      R"({"portfolio":4,"budget_ms":-1}})" + "\n";
+  std::istringstream in(stream);
+  std::ostringstream out;
+  const ServerStats stats = serve(in, out, deterministic_options(1));
+  EXPECT_EQ(stats.ok, 2);
+  std::vector<std::string> lines = split_lines(out.str());
+  std::sort(lines.begin(), lines.end());
+  ASSERT_EQ(lines.size(), 2u);
+  // Everything from the completion on: objectives and placement.
+  const auto answer = [](const std::string& line) {
+    const auto from = line.find("\"completion\"");
+    return line.substr(from, line.find("\"wall_ms\"") - from);
+  };
+  expect_contains(lines[0], "\"completion\":2048,");
+  EXPECT_EQ(answer(lines[1]), answer(lines[0]));
 }
 
 std::string repeated(const std::string& text, int times) {

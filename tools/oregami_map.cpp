@@ -73,7 +73,6 @@ struct Options {
   std::optional<std::string> fault_spec;
   std::uint64_t fault_seed = 0;
   bool repair = false;
-  std::int64_t time_budget_ms = 0;
   std::optional<std::string> trace_file;
   bool trace_summary = false;
   bool explain = false;
@@ -272,8 +271,9 @@ std::optional<Options> parse_args(int argc, char** argv) {
         }
         if (pos == peek.size() && !peek.empty()) {
           ++i;
-          if (levels < 1 || levels > 64) {
-            std::cerr << "--multilevel expects 1 <= LEVELS <= 64, got '"
+          if (levels < 1) {
+            std::cerr << "--multilevel LEVELS must be positive (omit it "
+                         "for automatic depth), got '"
                       << peek << "'\n";
             return std::nullopt;
           }
@@ -301,25 +301,13 @@ std::optional<Options> parse_args(int argc, char** argv) {
         } else if (arg == "--fault-seed") {
           options.fault_seed = std::stoull(*v);
         } else {
-          options.time_budget_ms = std::stoll(*v);
+          options.mapper.time_budget_ms = std::stoll(*v);
         }
       } catch (const std::exception&) {
         std::cerr << "bad " << arg << " value '" << *v << "'\n";
         return std::nullopt;
       }
-      if (arg == "--portfolio" && options.mapper.portfolio < 0) {
-        std::cerr << "--portfolio expects N >= 0\n";
-        return std::nullopt;
-      }
-      if (arg == "--anneal" && options.mapper.anneal < 0) {
-        std::cerr << "--anneal expects N >= 0\n";
-        return std::nullopt;
-      }
-      if (arg == "--jobs" && options.mapper.jobs < 0) {
-        std::cerr << "--jobs expects J >= 0 (0 = all cores)\n";
-        return std::nullopt;
-      }
-      if (arg == "--time-budget" && options.time_budget_ms < 0) {
+      if (arg == "--time-budget" && options.mapper.time_budget_ms < 0) {
         std::cerr << "--time-budget expects MS >= 0 (0 = none)\n";
         return std::nullopt;
       }
@@ -333,28 +321,19 @@ std::optional<Options> parse_args(int argc, char** argv) {
 
 /// Maps, measures, and prints. Only MappingError (= the pipeline could
 /// not produce a mapping for these inputs) escapes classification here.
-int map_and_report(const Options& options, const larcs::Program& ast,
+int map_and_report(const Options& options, const MapperOptions& mapper,
+                   const larcs::Program& ast,
                    const larcs::CompiledProgram& compiled,
                    const Topology& topo,
                    const std::optional<FaultedTopology>& faulted) {
   try {
-    MapperOptions mapper = options.mapper;
-    mapper.multilevel_budget_ms = options.time_budget_ms;
-    // Degraded-mode mapping (no --repair): run the pipeline directly
-    // on the healthy sub-machine.
-    if (faulted && !options.repair) {
-      mapper.faults = &*faulted;
-    }
-
     MapperReport report;
     std::string portfolio_table;
     std::string provenance;
     std::string pareto_front;
     if (mapper.portfolio > 0 && mapper.faults == nullptr) {
-      PortfolioOptions popts = portfolio_options_from(mapper);
-      popts.time_budget_ms = options.time_budget_ms;
-      const PortfolioReport pf =
-          portfolio_map_program(ast, compiled, topo, mapper, popts);
+      const PortfolioReport pf = portfolio_map_program(
+          ast, compiled, topo, mapper, portfolio_options_from(mapper));
       // The timed variant: same table plus wall-ms columns, with
       // skipped candidates showing the elapsed time at the cut-off.
       portfolio_table = pf.timed_table();
@@ -396,7 +375,7 @@ int map_and_report(const Options& options, const larcs::Program& ast,
     // the degraded machine and print both completions side by side.
     if (faulted && options.repair) {
       RepairOptions ropts;
-      ropts.time_budget_ms = options.time_budget_ms;
+      ropts.time_budget_ms = options.mapper.time_budget_ms;
       ropts.seed = options.mapper.portfolio_seed;
       ropts.model = {};
       ropts.remap_options = options.mapper;
@@ -514,19 +493,13 @@ int run(const Options& options) {
     buffer << in.rdbuf();
     source = buffer.str();
   } else {
-    bool found = false;
-    for (const auto& entry : larcs::programs::catalog()) {
-      if (entry.name == *options.program_name) {
-        source = entry.source;
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
+    const auto* entry = larcs::programs::find(*options.program_name);
+    if (entry == nullptr) {
       std::cerr << "error: unknown program '" << *options.program_name
                 << "' (see --list-programs)\n";
       return kExitBadInput;
     }
+    source = entry->source;
   }
 
   try {
@@ -541,22 +514,23 @@ int run(const Options& options) {
     check_model_bound(compiled.graph, topo,
                       faulted ? faulted->link_slowdowns()
                               : std::vector<std::int64_t>{});
+    MapperOptions mapper = options.mapper;
+    // Degraded-mode mapping (no --repair): run the pipeline directly
+    // on the healthy sub-machine.
+    if (faulted && !options.repair) {
+      mapper.faults = &*faulted;
+    }
     if (options.digest) {
       // Print the mapping server's cache key for these inputs (used to
       // pre-warm a server or debug why two requests don't share an
       // entry) and skip the mapping itself.
-      MapperOptions mapper = options.mapper;
-      mapper.multilevel_budget_ms = options.time_budget_ms;
-      if (faulted && !options.repair) {
-        mapper.faults = &*faulted;
-      }
       std::cout << "digest: "
                 << digest_hex(
                        server::job_digest(compiled.graph, topo, mapper))
                 << "\n";
       return kExitOk;
     }
-    return map_and_report(options, ast, compiled, topo, faulted);
+    return map_and_report(options, mapper, ast, compiled, topo, faulted);
   } catch (const LarcsError& e) {
     std::cerr << "error: " << e.loc().to_string() << ": " << e.what()
               << "\n";
@@ -629,24 +603,14 @@ int main(int argc, char** argv) {
                    "report describes the portfolio decision)\n";
       return usage(argv[0]);
     }
-    if (options.mapper.anneal > 0 && options.mapper.portfolio <= 0) {
-      std::cerr << "--anneal requires --portfolio N (annealing runs as a "
-                   "portfolio candidate)\n";
-      return usage(argv[0]);
-    }
-    if (options.mapper.heft && options.mapper.portfolio <= 0) {
-      std::cerr << "--heft requires --portfolio N (the list scheduler runs "
-                   "as a portfolio candidate)\n";
-      return usage(argv[0]);
-    }
     if (options.pareto && options.mapper.portfolio <= 0) {
       std::cerr << "--pareto requires --portfolio N (the front ranks the "
                    "portfolio candidates)\n";
       return usage(argv[0]);
     }
-    if (options.mapper.multilevel != 0 && options.mapper.portfolio > 0) {
-      std::cerr << "--multilevel is incompatible with --portfolio (the "
-                   "V-cycle replaces the candidate search)\n";
+    if (const std::string error = check_mapper_options(options.mapper, "--");
+        !error.empty()) {
+      std::cerr << error << "\n";
       return usage(argv[0]);
     }
     if (options.trace_file || options.trace_summary) {
