@@ -1,6 +1,7 @@
 #include "oregami/mapper/driver.hpp"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "oregami/arch/routes.hpp"
 #include "oregami/core/recognize.hpp"
@@ -353,11 +354,15 @@ MapperReport map_graph(const TaskGraph& graph, const ProgramInput* program,
   }
   if (options.portfolio > 0) {
     const PortfolioOptions popts = portfolio_options_from(options);
-    return (program != nullptr
-                ? portfolio_map_program(program->ast, program->compiled,
-                                        topo, options, popts)
-                : portfolio_map_computation(graph, topo, options, popts))
-        .best;
+    PortfolioReport search =
+        program != nullptr
+            ? portfolio_map_program(program->ast, program->compiled, topo,
+                                    options, popts)
+            : portfolio_map_computation(graph, topo, options, popts);
+    MapperReport report = std::move(search.best);
+    report.portfolio =
+        std::make_shared<const PortfolioReport>(std::move(search));
+    return report;
   }
   const trace::Span span("map");
   for (const StrategyAttempt& attempt :
@@ -411,13 +416,22 @@ std::string check_mapper_options(const MapperOptions& options,
   if (options.portfolio < 0) {
     return p + "portfolio must be >= 0";
   }
+  if (options.portfolio > kMaxPortfolio) {
+    return p + "portfolio must be <= " + std::to_string(kMaxPortfolio);
+  }
   if (options.anneal < 0) {
     return p + "anneal must be >= 0";
+  }
+  if (options.anneal > kMaxAnneal) {
+    return p + "anneal must be <= " + std::to_string(kMaxAnneal);
   }
   if (options.jobs < 0) {
     return p + "jobs must be >= 0 (0 = all cores)";
   }
-  if (options.multilevel < -1 || options.multilevel > 64) {
+  if (options.jobs > kMaxJobs) {
+    return p + "jobs must be <= " + std::to_string(kMaxJobs);
+  }
+  if (options.multilevel < -1 || options.multilevel > kMaxMultilevel) {
     return p + "multilevel must be 0 (off), -1 (auto depth) or 1..64 "
                "(level cap)";
   }
@@ -431,6 +445,57 @@ std::string check_mapper_options(const MapperOptions& options,
     return p + "multilevel is incompatible with " + p + "portfolio";
   }
   return {};
+}
+
+namespace {
+
+using Kind = MapperOptionKind;
+
+constexpr MapperOptionSpec kMapperOptions[] = {
+    {"portfolio", "--portfolio", Kind::Count, &MapperOptions::portfolio,
+     "keep the best of every strategy + N seeded variants"},
+    {"anneal", "--anneal", Kind::Count, &MapperOptions::anneal,
+     "add N annealing candidates (needs --portfolio)"},
+    {"heft", "--heft", Kind::Presence, &MapperOptions::heft,
+     "add the HEFT candidate (needs --portfolio)"},
+    {"multilevel", "--multilevel", Kind::Levels, &MapperOptions::multilevel,
+     "multilevel V-cycle; LEVELS caps its depth (1..64)"},
+    {"seed", "--seed", Kind::Seed, &MapperOptions::portfolio_seed,
+     "base seed of the portfolio and multilevel streams"},
+    {"refine", "", Kind::Presence, &MapperOptions::refine, ""},
+    {"refine_placement", "--refine-placement", Kind::Presence,
+     &MapperOptions::refine_placement,
+     "hill-climb the placement on the completion model"},
+    {"load_bound", "", Kind::Count, &MapperOptions::load_bound_B, ""},
+    {"no_canned", "--no-canned", Kind::Negated, &MapperOptions::allow_canned,
+     "disable the canned MAPPER strategy"},
+    {"no_group", "--no-group", Kind::Negated, &MapperOptions::allow_group,
+     "disable the group-theoretic MAPPER strategy"},
+    {"no_systolic", "--no-systolic", Kind::Negated,
+     &MapperOptions::allow_systolic, "disable the systolic MAPPER strategy"},
+    {"jobs", "--jobs", Kind::Count, &MapperOptions::jobs,
+     "worker threads (0 = all cores); never changes results"},
+    {"budget_ms", "--time-budget", Kind::Millis,
+     &MapperOptions::time_budget_ms,
+     "deadline of portfolio, multilevel, repair (0 = none)"},
+};
+
+}  // namespace
+
+std::span<const MapperOptionSpec> mapper_options() { return kMapperOptions; }
+
+void set_mapper_option(MapperOptions& options, const MapperOptionSpec& spec,
+                       std::int64_t value) {
+  std::visit(
+      [&](auto member) {
+        using Field = std::remove_reference_t<decltype(options.*member)>;
+        if constexpr (std::is_same_v<Field, bool>) {
+          options.*member = (value != 0) != (spec.kind == Kind::Negated);
+        } else {
+          options.*member = static_cast<Field>(value);
+        }
+      },
+      spec.member);
 }
 
 MapperReport map_computation(const TaskGraph& graph, const Topology& topo,

@@ -14,9 +14,12 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
+#include <variant>
 #include <vector>
 
 #include "oregami/arch/fault_model.hpp"
@@ -88,20 +91,67 @@ struct MapperOptions {
   const FaultedTopology* faults = nullptr;
 };
 
+struct PortfolioReport;
+
 struct MapperReport {
   MapStrategy strategy = MapStrategy::General;
   std::string details;  ///< human-readable algorithm description
   Mapping mapping;
+  /// The portfolio search behind this mapping (candidate table,
+  /// provenance, Pareto front); null unless `MapperOptions::portfolio`
+  /// > 0, and set on the degraded-mode path too. Its `best` is moved
+  /// out into this report, so read the winner from here.
+  std::shared_ptr<const PortfolioReport> portfolio;
 };
 
+/// Upper bounds on the options that size a job's work or its threads.
+/// They sit above every value the tests, benches and CI use; an input
+/// beyond them is refused before it costs anything.
+inline constexpr int kMaxPortfolio = 1024;   ///< seeded candidates
+inline constexpr int kMaxAnneal = 256;       ///< annealing chains
+inline constexpr int kMaxJobs = 256;         ///< worker threads
+inline constexpr int kMaxMultilevel = 64;    ///< coarsening levels
+
 /// Checks the option ranges and combinations every front end shares:
-/// `portfolio`, `anneal` and `jobs` are >= 0, `multilevel` is 0, -1 or
-/// 1..64, `anneal` and `heft` need `portfolio` > 0, and `multilevel`
-/// excludes `portfolio`. Returns "" when the options are valid, else a
-/// message naming each option as `prefix` + field ("options." for the
-/// wire, "--" for the CLI).
+/// `portfolio`, `anneal` and `jobs` lie in 0..their kMax* bound,
+/// `multilevel` is 0, -1 or 1..64, `anneal` and `heft` need `portfolio`
+/// > 0, and `multilevel` excludes `portfolio`. Returns "" when the
+/// options are valid, else a message naming each option as `prefix` +
+/// field ("options." for the wire, "--" for the CLI).
 [[nodiscard]] std::string check_mapper_options(const MapperOptions& options,
                                                std::string_view prefix);
+
+/// How a mapper option is spelled and stored.
+enum class MapperOptionKind {
+  Count,     ///< an int; wire integer, CLI `FLAG N`
+  Levels,    ///< an int; wire integer, CLI `FLAG [LEVELS]` (omitted = -1)
+  Presence,  ///< a bool; wire boolean, CLI switch sets it
+  Negated,   ///< a bool stored inverted (`no_*`); CLI switch clears it
+  Seed,      ///< a uint64; wire integer >= 0, CLI `FLAG S`
+  Millis,    ///< an int64; wire integer, CLI `FLAG MS` (>= 0)
+};
+
+/// One mapper option, declared once for every front end: the wire's
+/// `options` object reads it by `key`, oregami_map by `flag`, and both
+/// store through `member`; check_mapper_options holds its rules.
+struct MapperOptionSpec {
+  std::string_view key;   ///< wire key under "options"
+  std::string_view flag;  ///< oregami_map flag; empty = wire-only
+  MapperOptionKind kind = MapperOptionKind::Count;
+  std::variant<int MapperOptions::*, bool MapperOptions::*,
+               std::int64_t MapperOptions::*, std::uint64_t MapperOptions::*>
+      member;
+  std::string_view help;  ///< oregami_map usage line
+};
+
+/// Every mapper option, in the order the wire's "known:" list names
+/// them.
+[[nodiscard]] std::span<const MapperOptionSpec> mapper_options();
+
+/// Stores `value` into the spec's member (a bool kind stores
+/// `value != 0`, inverted for Negated).
+void set_mapper_option(MapperOptions& options, const MapperOptionSpec& spec,
+                       std::int64_t value);
 
 /// Maps a task graph (no LaRCS context) to `topo`. Tries canned, then
 /// group-theoretic, then the general path.

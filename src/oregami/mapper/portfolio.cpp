@@ -198,8 +198,11 @@ PortfolioReport run_portfolio(const TaskGraph& graph, const Topology& topo,
   // Shared read-only state really is read-only under the pool: regular
   // families answer distance queries with closed-form oracles, and the
   // Custom family's lazy BFS table is published under std::call_once,
-  // so no pre-warm is needed before fanning out.
-  ThreadPool pool(options.jobs, "portfolio");
+  // so no pre-warm is needed before fanning out. A worker beyond one
+  // per candidate would only idle.
+  ThreadPool pool(std::min(ThreadPool::resolve_workers(options.jobs),
+                           static_cast<int>(specs.size())),
+                  "portfolio");
   // Non-positive budgets never consult the clock, keeping those modes
   // bit-deterministic. Candidate 0 is exempt so a result always exists.
   const Deadline deadline(options.time_budget_ms);

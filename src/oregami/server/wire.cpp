@@ -1,5 +1,6 @@
 #include "oregami/server/wire.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -344,54 +345,51 @@ std::string expect_string(const JobContext& ctx, const JsonValue& v,
   return v.str;
 }
 
+/// "portfolio, anneal, ...": the wire keys of the mapper option table.
+std::string known_options() {
+  std::string known;
+  for (const MapperOptionSpec& spec : mapper_options()) {
+    known += (known.empty() ? "" : ", ") + std::string(spec.key);
+  }
+  return known;
+}
+
 void apply_options(const JobContext& ctx, const JsonValue& obj,
                    WireJob& job) {
   if (obj.kind != JsonValue::Kind::Object) {
     ctx.fail(kJobMalformed, "field \"options\" must be an object, got " +
                                 std::string(kind_name(obj.kind)));
   }
-  MapperOptions& mo = job.options;
+  const auto table = mapper_options();
   for (const auto& [key, v] : obj.object) {
-    if (key == "portfolio") {
-      mo.portfolio = expect_int(ctx, v, "options.portfolio");
-    } else if (key == "anneal") {
-      mo.anneal = expect_int(ctx, v, "options.anneal");
-    } else if (key == "heft") {
-      mo.heft = expect_bool(ctx, v, "options.heft");
-    } else if (key == "multilevel") {
-      mo.multilevel = expect_int(ctx, v, "options.multilevel");
-    } else if (key == "seed") {
-      const long n = expect_integer(ctx, v, "options.seed");
-      if (n < 0) {
-        ctx.fail(kJobMalformed, "options.seed must be >= 0");
-      }
-      mo.portfolio_seed = static_cast<std::uint64_t>(n);
-    } else if (key == "refine") {
-      mo.refine = expect_bool(ctx, v, "options.refine");
-    } else if (key == "refine_placement") {
-      mo.refine_placement = expect_bool(ctx, v, "options.refine_placement");
-    } else if (key == "load_bound") {
-      mo.load_bound_B = expect_int(ctx, v, "options.load_bound");
-    } else if (key == "no_canned") {
-      mo.allow_canned = !expect_bool(ctx, v, "options.no_canned");
-    } else if (key == "no_group") {
-      mo.allow_group = !expect_bool(ctx, v, "options.no_group");
-    } else if (key == "no_systolic") {
-      mo.allow_systolic = !expect_bool(ctx, v, "options.no_systolic");
-    } else if (key == "jobs") {
-      mo.jobs = expect_int(ctx, v, "options.jobs");
-    } else if (key == "budget_ms") {
-      mo.time_budget_ms = expect_integer(ctx, v, "options.budget_ms");
-    } else {
-      ctx.fail(kJobMalformed,
-               "unknown option \"" + key +
-                   "\" (known: portfolio, anneal, heft, multilevel, seed, "
-                   "refine, refine_placement, load_bound, no_canned, "
-                   "no_group, no_systolic, jobs, budget_ms)");
+    const auto spec = std::ranges::find(table, key, &MapperOptionSpec::key);
+    if (spec == table.end()) {
+      ctx.fail(kJobMalformed, "unknown option \"" + key + "\" (known: " +
+                                  known_options() + ")");
     }
+    const std::string field = "options." + key;
+    std::int64_t value = 0;
+    switch (spec->kind) {
+      case MapperOptionKind::Count:
+      case MapperOptionKind::Levels:
+        value = expect_int(ctx, v, field);
+        break;
+      case MapperOptionKind::Presence:
+      case MapperOptionKind::Negated:
+        value = expect_bool(ctx, v, field) ? 1 : 0;
+        break;
+      case MapperOptionKind::Seed:
+      case MapperOptionKind::Millis:
+        value = expect_integer(ctx, v, field);
+        if (value < 0 && spec->kind == MapperOptionKind::Seed) {
+          ctx.fail(kJobMalformed, field + " must be >= 0");
+        }
+        break;
+    }
+    set_mapper_option(job.options, *spec, value);
   }
   // The same option rules the CLI enforces with exit 2.
-  const std::string error = check_mapper_options(mo, "options.");
+  const std::string error = check_mapper_options(job.options, "options.");
   if (!error.empty()) {
     ctx.fail(kJobMalformed, error);
   }

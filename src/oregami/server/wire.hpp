@@ -9,19 +9,17 @@
 //    "bind": {"n": 15, "s": 4},     // optional integer bindings
 //    "topology": "mesh:4x4",        // required
 //    "options": {"portfolio": 8,    // optional mapper options
-//                "anneal": 2, "heft": true, "multilevel": 0,
-//                "seed": 123, "refine": false,
-//                "refine_placement": false, "load_bound": -1,
-//                "no_canned": false, "no_group": false,
-//                "no_systolic": false, "jobs": 1, "budget_ms": 0},
+//                "anneal": 2, "heft": true, "budget_ms": 0},
 //    "deadline_ms": 50}             // optional per-job deadline
 //
-// Options follow the CLI's flags and rules (check_mapper_options in
-// mapper/driver.hpp; a violation is code 2): anneal and heft need
-// portfolio > 0, multilevel (0 off, -1 auto, 1..64) excludes portfolio.
-// budget_ms, like the CLI's --time-budget, bounds the portfolio search
-// and the multilevel refinement alike (0 = none, < 0 = already expired:
-// the portfolio runs only its Fig-3 candidate).
+// The option keys, their kinds and their CLI flags are the mapper
+// option table (mapper_options() in mapper/driver.hpp); the rules are
+// check_mapper_options (a violation is code 2): portfolio <= 1024,
+// anneal <= 256 and jobs <= 256; anneal and heft need portfolio > 0;
+// multilevel (0 off, -1 auto, 1..64) excludes portfolio. budget_ms, like
+// the CLI's --time-budget, bounds the portfolio search and the
+// multilevel refinement alike (0 = none, < 0 = already expired: the
+// portfolio runs only its Fig-3 candidate).
 //
 // Result line, success:
 //   {"id":"7","status":"ok","digest":"<16 hex>","cache":"hit|miss",

@@ -38,6 +38,22 @@ expect_exit(2 --program jacobi --topology mesh:4x4 --repair)  # no faults
 expect_exit(2 --program jacobi --topology mesh:4x4 --jobs -1)
 expect_exit(2 --program jacobi --topology mesh:4x4 --portfolio x)
 
+# 2: argument edges of the flag table: a --bind without '=', a negative
+# time budget, a non-integer seed, and a worker count over the shared cap
+# (kMaxJobs = 256, refused before any thread starts).
+expect_exit(2 --program jacobi --bind n --topology mesh:4x4)
+expect_exit(2 --program jacobi --bind n=8 --bind iters=10
+            --topology mesh:4x4 --time-budget -1)
+expect_exit(2 --program jacobi --bind n=8 --bind iters=10
+            --topology mesh:4x4 --fault-seed x)
+expect_exit(2 --program jacobi --bind n=8 --bind iters=10
+            --topology mesh:4x4 --portfolio 2 --jobs 257)
+
+# 0: --multilevel takes its level cap only when the next token is an
+# integer, so a flag right after it stays a flag.
+expect_exit(0 --program jacobi --bind n=8 --bind iters=10
+            --topology mesh:4x4 --multilevel --ascii)
+
 # 2: mutually-incompatible flag combos (each of these flags describes
 # or extends the portfolio search, so it is a usage error without
 # --portfolio N).
@@ -169,6 +185,10 @@ expect_serve_exit(2 "" --frobnicate)
 expect_serve_exit(2 "" --jobs -2)
 expect_serve_exit(2 "" --queue-capacity 0)
 expect_serve_exit(2 "" --cache-capacity x)
+expect_serve_exit(2 "" --deadline -2)
+expect_serve_exit(2 "" --cache-shards 257)
+expect_serve_exit(2 "" --log-level)              # no value
+expect_serve_exit(2 "" --jobs 257)               # over kMaxJobs
 
 # 2: a bad --failpoints schedule is a usage error (quotable message on
 # stderr); a valid schedule that injects a per-job failure is not -- the

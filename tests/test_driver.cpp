@@ -38,6 +38,22 @@ TEST(Driver, CheckMapperOptionsNamesTheBrokenRuleWithThePrefix) {
             "--portfolio must be >= 0");
   EXPECT_EQ(check([](MapperOptions& o) { o.jobs = -1; }),
             "--jobs must be >= 0 (0 = all cores)");
+  // Upper bounds: the largest accepted value passes, one more does not.
+  EXPECT_EQ(check([](MapperOptions& o) {
+              o.portfolio = kMaxPortfolio;
+              o.anneal = kMaxAnneal;
+              o.jobs = kMaxJobs;
+            }),
+            "");
+  EXPECT_EQ(check([](MapperOptions& o) { o.portfolio = kMaxPortfolio + 1; }),
+            "--portfolio must be <= 1024");
+  EXPECT_EQ(check([](MapperOptions& o) {
+              o.portfolio = 1;
+              o.anneal = kMaxAnneal + 1;
+            }),
+            "--anneal must be <= 256");
+  EXPECT_EQ(check([](MapperOptions& o) { o.jobs = kMaxJobs + 1; }),
+            "--jobs must be <= 256");
   EXPECT_EQ(check([](MapperOptions& o) { o.multilevel = -2; }),
             "--multilevel must be 0 (off), -1 (auto depth) or 1..64 "
             "(level cap)");

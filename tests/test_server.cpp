@@ -96,7 +96,10 @@ TEST(WireParse, RejectsBadJobsWithQuotableMessages) {
   expect_parse_error(
       R"({"id":1,"program":"x","topology":"ring:2",)"
       R"("options":{"warp":9}})",
-      kJobMalformed, "unknown option \"warp\"");
+      kJobMalformed,
+      "unknown option \"warp\" (known: portfolio, anneal, heft, multilevel, "
+      "seed, refine, refine_placement, load_bound, no_canned, no_group, "
+      "no_systolic, jobs, budget_ms)");
   // The CLI's flag-combination contract, enforced per job.
   expect_parse_error(
       R"({"id":1,"program":"x","topology":"ring:2",)"
@@ -128,6 +131,18 @@ TEST(WireParse, RejectsBadJobsWithQuotableMessages) {
             R"("options":{")" + field + R"(":-1}})",
         kJobMalformed, std::string("options.") + field + " must be >= 0");
   }
+  // Upper bounds, refused before any work is sized by them.
+  for (const auto& [options, message] :
+       std::vector<std::pair<std::string, std::string>>{
+           {R"({"portfolio":2147483647})", "options.portfolio must be <= 1024"},
+           {R"({"portfolio":1,"anneal":257})", "options.anneal must be <= 256"},
+           {R"({"portfolio":4,"jobs":2147483647})",
+            "options.jobs must be <= 256"}}) {
+    expect_parse_error(
+        R"({"id":1,"program":"x","topology":"ring:2","options":)" + options +
+            "}",
+        kJobMalformed, message);
+  }
   // Every parse error names the job once an id is known.
   expect_parse_error(
       R"({"id":7,"program":"x","topology":"ring:2","frob":1})",
@@ -156,6 +171,32 @@ TEST(WireParse, BenchmarkOptionSpellingsKeepTheirCacheKeys) {
                                     job.options)),
               digest)
         << options;
+  }
+}
+
+TEST(MapperOptionTable, EveryWireKeyButJobsMovesTheDigest) {
+  // An option that changes what is computed must change the cache key,
+  // or two different jobs would share one entry; worker count must not.
+  const larcs::Program ast = larcs::parse_program(larcs::programs::jacobi());
+  const larcs::CompiledProgram compiled =
+      larcs::compile(ast, {{"n", 8}, {"iters", 10}});
+  const Topology topo = parse_topology_spec("mesh:4x4");
+  const MapperOptions base =
+      parse_job(R"({"id":1,"program":"jacobi","topology":"mesh:4x4"})", 1)
+          .options;
+  const std::uint64_t base_digest = job_digest(compiled.graph, topo, base);
+  EXPECT_EQ(digest_hex(base_digest), "7bb2d7d76f7682a2");
+  for (const MapperOptionSpec& spec : mapper_options()) {
+    // 3 is no option's default, and it turns every switch on.
+    MapperOptions changed = base;
+    set_mapper_option(changed, spec, 3);
+    if (spec.key == "jobs") {
+      EXPECT_EQ(changed.jobs, 3);
+      EXPECT_EQ(job_digest(compiled.graph, topo, changed), base_digest);
+    } else {
+      EXPECT_NE(job_digest(compiled.graph, topo, changed), base_digest)
+          << spec.key;
+    }
   }
 }
 

@@ -21,11 +21,15 @@
 //      topology or fault spec, unknown program)
 //   4  mapping infeasible (the pipeline or repair could not produce a
 //      valid mapping for these inputs)
+#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <iterator>
+#include <limits>
 #include <map>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -44,6 +48,7 @@
 #include "oregami/server/digest.hpp"
 #include "oregami/server/persist.hpp"
 #include "oregami/sim/network_sim.hpp"
+#include "oregami/support/cli_flags.hpp"
 #include "oregami/support/error.hpp"
 #include "oregami/support/hash.hpp"
 #include "oregami/support/metrics.hpp"
@@ -83,240 +88,117 @@ struct Options {
   MapperOptions mapper;
 };
 
-int usage(const char* argv0) {
-  std::cerr
-      << "usage: " << argv0 << " [options]\n"
-      << "  --program NAME         pick a built-in LaRCS program\n"
-      << "  --larcs FILE           read a LaRCS source file\n"
-      << "  --bind NAME=VALUE      bind an algorithm parameter/import\n"
-      << "  --topology SPEC        target architecture\n"
-      << "  --list-programs        list the built-in corpus and exit\n"
-      << "  --ascii                print the placement layout\n"
-      << "  --links                print per-phase link tables\n"
-      << "  --dot                  print Graphviz DOT of the task graph\n"
-      << "  --simulate             run the discrete-event cross-check\n"
-      << "  --directives           print per-processor schedules\n"
-      << "  --no-canned | --no-group | --no-systolic\n"
-      << "                         disable a MAPPER strategy\n"
-      << "  --refine-placement     hill-climb the final placement on the\n"
-      << "                         completion model (incremental scoring)\n"
-      << "  --portfolio N          portfolio mode: run every admissible\n"
-      << "                         strategy plus N seeded general variants\n"
-      << "                         and keep the best (prints the table)\n"
-      << "  --jobs J               portfolio worker threads (0 = all\n"
-      << "                         cores); never changes the result\n"
-      << "  --seed S               portfolio base seed\n"
-      << "  --anneal N             add N seeded simulated-annealing\n"
-      << "                         candidates to the portfolio; requires\n"
-      << "                         --portfolio\n"
-      << "  --heft                 add the HEFT critical-path list-schedule\n"
-      << "                         candidate to the portfolio; requires\n"
-      << "                         --portfolio\n"
-      << "  --pareto               print the Pareto front over (completion,\n"
-      << "                         external IPC, max exec load) instead of\n"
-      << "                         only the scalar winner; requires\n"
-      << "                         --portfolio\n"
-      << "  --multilevel [LEVELS]  map with the multilevel V-cycle\n"
-      << "                         (coarsen / map / refine; built for\n"
-      << "                         10k+ task graphs). LEVELS caps the\n"
-      << "                         coarsening depth (1..64); omit it for\n"
-      << "                         automatic depth. Incompatible with\n"
-      << "                         --portfolio\n"
-      << "  --time-budget MS       wall-clock deadline in milliseconds for\n"
-      << "                         portfolio search, multilevel refinement\n"
-      << "                         and repair (0 = none)\n"
-      << "  --inject-faults SPEC   degrade the machine before mapping;\n"
-      << "                         " << FaultSpec::grammar_help() << "\n"
-      << "  --fault-seed S         seed for rand:PxLxS fault tokens\n"
-      << "  --repair               map the healthy machine first, then\n"
-      << "                         repair the mapping onto the degraded\n"
-      << "                         one (prints both completions)\n"
-      << "  --trace FILE           record a structured pipeline trace and\n"
-      << "                         write Chrome trace-event JSON to FILE\n"
-      << "                         (load in Perfetto / chrome://tracing)\n"
-      << "  --trace-summary        print an ASCII span tree with\n"
-      << "                         inclusive/exclusive times and counters\n"
-      << "  --explain              print the decision-provenance report\n"
-      << "                         (why the portfolio winner won, with the\n"
-      << "                         per-phase cost breakdown); requires\n"
-      << "                         --portfolio\n"
-      << "  --digest               print the canonical content digest of\n"
-      << "                         (program, topology, options) -- the\n"
-      << "                         mapping server's cache key -- and exit\n"
-      << "                         without mapping\n"
-      << "  --cache-file PATH      inspect a mapping-server cache file:\n"
-      << "                         print the recovery report and one line\n"
-      << "                         per valid entry (sorted by digest),\n"
-      << "                         then exit without mapping\n"
-      << "  --metrics-file PATH    one-shot dump of the metrics registry\n"
-      << "                         (Prometheus text exposition) after the\n"
-      << "                         run\n"
-      << topology_spec_help() << "\n"
-      << "exit codes: 0 ok, 1 internal error, 2 usage, 3 bad input, "
-         "4 mapping infeasible\n";
-  return kExitUsage;
+std::string bind(Options& options, const cli::Value& value) {
+  const std::string text(value.text);
+  const auto eq = text.find('=');
+  if (eq == std::string::npos) {
+    return "--bind expects NAME=VALUE, got '" + text + "'";
+  }
+  const auto number = cli::parse_integer(value.text.substr(eq + 1));
+  if (!number) {
+    return "bad --bind value in '" + text + "'";
+  }
+  options.bindings[text.substr(0, eq)] = *number;
+  return {};
 }
 
-std::optional<Options> parse_args(int argc, char** argv) {
-  Options options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> std::optional<std::string> {
-      if (i + 1 >= argc) {
-        std::cerr << arg << " needs an argument\n";
-        return std::nullopt;
-      }
-      return std::string(argv[++i]);
-    };
-    if (arg == "--program") {
-      if (auto v = next()) {
-        options.program_name = *v;
-      } else {
-        return std::nullopt;
-      }
-    } else if (arg == "--larcs") {
-      if (auto v = next()) {
-        options.larcs_file = *v;
-      } else {
-        return std::nullopt;
-      }
-    } else if (arg == "--bind") {
-      const auto v = next();
-      if (!v) {
-        return std::nullopt;
-      }
-      const auto eq = v->find('=');
-      if (eq == std::string::npos) {
-        std::cerr << "--bind expects NAME=VALUE, got '" << *v << "'\n";
-        return std::nullopt;
-      }
-      try {
-        options.bindings[v->substr(0, eq)] = std::stol(v->substr(eq + 1));
-      } catch (const std::exception&) {
-        std::cerr << "bad --bind value in '" << *v << "'\n";
-        return std::nullopt;
-      }
-    } else if (arg == "--topology") {
-      if (auto v = next()) {
-        options.topology_spec = *v;
-      } else {
-        return std::nullopt;
-      }
-    } else if (arg == "--inject-faults") {
-      if (auto v = next()) {
-        options.fault_spec = *v;
-      } else {
-        return std::nullopt;
-      }
-    } else if (arg == "--list-programs") {
-      options.list_programs = true;
-    } else if (arg == "--ascii") {
-      options.ascii = true;
-    } else if (arg == "--dot") {
-      options.dot = true;
-    } else if (arg == "--links") {
-      options.links = true;
-    } else if (arg == "--simulate") {
-      options.simulate_flag = true;
-    } else if (arg == "--directives") {
-      options.directives = true;
-    } else if (arg == "--repair") {
-      options.repair = true;
-    } else if (arg == "--no-canned") {
-      options.mapper.allow_canned = false;
-    } else if (arg == "--no-group") {
-      options.mapper.allow_group = false;
-    } else if (arg == "--no-systolic") {
-      options.mapper.allow_systolic = false;
-    } else if (arg == "--refine-placement") {
-      options.mapper.refine_placement = true;
-    } else if (arg == "--trace") {
-      if (auto v = next()) {
-        options.trace_file = *v;
-      } else {
-        return std::nullopt;
-      }
-    } else if (arg == "--trace-summary") {
-      options.trace_summary = true;
-    } else if (arg == "--explain") {
-      options.explain = true;
-    } else if (arg == "--digest") {
-      options.digest = true;
-    } else if (arg == "--cache-file") {
-      if (auto v = next()) {
-        options.cache_file = *v;
-      } else {
-        return std::nullopt;
-      }
-    } else if (arg == "--metrics-file") {
-      if (auto v = next()) {
-        options.metrics_file = *v;
-      } else {
-        return std::nullopt;
-      }
-    } else if (arg == "--heft") {
-      options.mapper.heft = true;
-    } else if (arg == "--multilevel") {
-      // The level cap is optional: consume the next token only when it
-      // parses fully as an integer, so "--multilevel --ascii" works.
-      options.mapper.multilevel = -1;  // auto depth
-      if (i + 1 < argc) {
-        const std::string peek = argv[i + 1];
-        std::size_t pos = 0;
-        int levels = 0;
-        try {
-          levels = std::stoi(peek, &pos);
-        } catch (const std::exception&) {
-          pos = 0;
-        }
-        if (pos == peek.size() && !peek.empty()) {
-          ++i;
-          if (levels < 1) {
-            std::cerr << "--multilevel LEVELS must be positive (omit it "
-                         "for automatic depth), got '"
-                      << peek << "'\n";
-            return std::nullopt;
-          }
-          options.mapper.multilevel = levels;
-        }
-      }
-    } else if (arg == "--pareto") {
-      options.pareto = true;
-    } else if (arg == "--portfolio" || arg == "--anneal" || arg == "--jobs" ||
-               arg == "--seed" || arg == "--fault-seed" ||
-               arg == "--time-budget") {
-      const auto v = next();
-      if (!v) {
-        return std::nullopt;
-      }
-      try {
-        if (arg == "--portfolio") {
-          options.mapper.portfolio = std::stoi(*v);
-        } else if (arg == "--anneal") {
-          options.mapper.anneal = std::stoi(*v);
-        } else if (arg == "--jobs") {
-          options.mapper.jobs = std::stoi(*v);
-        } else if (arg == "--seed") {
-          options.mapper.portfolio_seed = std::stoull(*v);
-        } else if (arg == "--fault-seed") {
-          options.fault_seed = std::stoull(*v);
-        } else {
-          options.mapper.time_budget_ms = std::stoll(*v);
-        }
-      } catch (const std::exception&) {
-        std::cerr << "bad " << arg << " value '" << *v << "'\n";
-        return std::nullopt;
-      }
-      if (arg == "--time-budget" && options.mapper.time_budget_ms < 0) {
-        std::cerr << "--time-budget expects MS >= 0 (0 = none)\n";
-        return std::nullopt;
-      }
-    } else {
-      std::cerr << "unknown option '" << arg << "'\n";
-      return std::nullopt;
+/// Stores a mapper flag through the mapper option table.
+std::string set_mapper_flag(Options& options, const cli::Value& value) {
+  const auto table = mapper_options();
+  const auto spec =
+      std::ranges::find(table, value.flag, &MapperOptionSpec::flag);
+  const bool auto_depth =
+      spec->kind == MapperOptionKind::Levels && value.text.empty();
+  set_mapper_option(options.mapper, *spec, auto_depth ? -1 : value.number);
+  return {};
+}
+
+using cli::Arg;
+using cli::store;
+
+constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
+
+/// How oregami_map spells each MapperOptionKind, in enum order.
+constexpr struct {
+  Arg arg;
+  std::string_view metavar;
+  std::int64_t lo, hi;
+} kMapperFlagSpelling[] = {
+    {Arg::Int, "N", std::numeric_limits<int>::min(),
+     std::numeric_limits<int>::max()},                // Count
+    {Arg::OptionalInt, "[LEVELS]", 1, kMaxMultilevel},  // Levels
+    {Arg::None, "", 0, 0},                              // Presence
+    {Arg::None, "", 0, 0},                              // Negated
+    {Arg::Int, "S", 0, kInt64Max},                      // Seed
+    {Arg::Int, "MS", 0, kInt64Max},                     // Millis
+};
+static_assert(std::size(kMapperFlagSpelling) ==
+              static_cast<std::size_t>(MapperOptionKind::Millis) + 1);
+
+constexpr cli::Flag<Options> kFlags[] = {
+    {"--program", Arg::String, "NAME", "pick a built-in LaRCS program",
+     store<&Options::program_name>},
+    {"--larcs", Arg::String, "FILE", "read a LaRCS source file",
+     store<&Options::larcs_file>},
+    {"--bind", Arg::String, "NAME=VALUE", "bind an algorithm parameter/import",
+     bind},
+    {"--topology", Arg::String, "SPEC", "target architecture",
+     store<&Options::topology_spec>},
+    {"--list-programs", Arg::None, "", "list the built-in corpus and exit",
+     store<&Options::list_programs>},
+    {"--ascii", Arg::None, "", "print the placement layout",
+     store<&Options::ascii>},
+    {"--links", Arg::None, "", "print per-phase link tables",
+     store<&Options::links>},
+    {"--dot", Arg::None, "", "print Graphviz DOT of the task graph",
+     store<&Options::dot>},
+    {"--simulate", Arg::None, "", "run the discrete-event cross-check",
+     store<&Options::simulate_flag>},
+    {"--directives", Arg::None, "", "print per-processor schedules",
+     store<&Options::directives>},
+    {"--pareto", Arg::None, "", "print the Pareto front (needs --portfolio)",
+     store<&Options::pareto>},
+    {"--explain", Arg::None, "", "print why the winner won (needs --portfolio)",
+     store<&Options::explain>},
+    {"--inject-faults", Arg::String, "SPEC",
+     "degrade the machine (grammar below)", store<&Options::fault_spec>},
+    {"--fault-seed", Arg::Int, "S", "seed for rand:PxLxS fault tokens",
+     store<&Options::fault_seed>, 0, kInt64Max},
+    {"--repair", Arg::None, "", "map healthy, then repair onto the faults",
+     store<&Options::repair>},
+    {"--trace", Arg::String, "FILE", "write a Chrome trace-event JSON to FILE",
+     store<&Options::trace_file>},
+    {"--trace-summary", Arg::None, "", "print the ASCII span tree",
+     store<&Options::trace_summary>},
+    {"--digest", Arg::None, "", "print the server's cache key and exit",
+     store<&Options::digest>},
+    {"--cache-file", Arg::String, "PATH", "print a server cache file and exit",
+     store<&Options::cache_file>},
+    {"--metrics-file", Arg::String, "PATH",
+     "write the metrics registry after the run", store<&Options::metrics_file>},
+};
+
+/// kFlags followed by the mapper option table's flags.
+std::vector<cli::Flag<Options>> all_flags() {
+  std::vector<cli::Flag<Options>> flags(std::begin(kFlags), std::end(kFlags));
+  for (const MapperOptionSpec& spec : mapper_options()) {
+    const auto& spelling =
+        kMapperFlagSpelling[static_cast<std::size_t>(spec.kind)];
+    if (!spec.flag.empty()) {
+      flags.push_back({spec.flag, spelling.arg, spelling.metavar, spec.help,
+                       set_mapper_flag, spelling.lo, spelling.hi});
     }
   }
-  return options;
+  return flags;
+}
+
+int usage(const char* argv0, std::span<const cli::Flag<Options>> flags) {
+  std::cerr << "usage: " << argv0 << " [options]\n"
+            << cli::usage(flags) << FaultSpec::grammar_help() << "\n"
+            << topology_spec_help() << "\n"
+            << "exit codes: 0 ok, 1 internal error, 2 usage, 3 bad input, "
+               "4 mapping infeasible\n";
+  return kExitUsage;
 }
 
 /// Maps, measures, and prints. Only MappingError (= the pipeline could
@@ -327,26 +209,7 @@ int map_and_report(const Options& options, const MapperOptions& mapper,
                    const Topology& topo,
                    const std::optional<FaultedTopology>& faulted) {
   try {
-    MapperReport report;
-    std::string portfolio_table;
-    std::string provenance;
-    std::string pareto_front;
-    if (mapper.portfolio > 0 && mapper.faults == nullptr) {
-      const PortfolioReport pf = portfolio_map_program(
-          ast, compiled, topo, mapper, portfolio_options_from(mapper));
-      // The timed variant: same table plus wall-ms columns, with
-      // skipped candidates showing the elapsed time at the cut-off.
-      portfolio_table = pf.timed_table();
-      if (options.explain) {
-        provenance = pf.explain();
-      }
-      if (options.pareto) {
-        pareto_front = pf.pareto();
-      }
-      report = pf.best;
-    } else {
-      report = map_program(ast, compiled, topo, mapper);
-    }
+    MapperReport report = map_program(ast, compiled, topo, mapper);
     const auto& graph = compiled.graph;
 
     std::cout << "algorithm: " << ast.name << "  (" << graph.num_tasks()
@@ -362,13 +225,18 @@ int map_and_report(const Options& options, const MapperOptions& mapper,
     }
     std::cout << "strategy:  " << to_string(report.strategy) << "\n"
               << "           " << report.details << "\n\n";
-    if (options.explain) {
-      std::cout << provenance << "\n";
-    } else if (!portfolio_table.empty()) {
-      std::cout << "portfolio candidates:\n" << portfolio_table << "\n";
-    }
-    if (!pareto_front.empty()) {
-      std::cout << pareto_front << "\n";
+    if (report.portfolio) {
+      if (options.explain) {
+        std::cout << report.portfolio->explain() << "\n";
+      } else {
+        // The timed table: wall-ms columns, with skipped candidates
+        // showing the elapsed time at the cut-off.
+        std::cout << "portfolio candidates:\n"
+                  << report.portfolio->timed_table() << "\n";
+      }
+      if (options.pareto) {
+        std::cout << report.portfolio->pareto() << "\n";
+      }
     }
 
     // Repair path: the mapping above is the healthy one; repair it onto
@@ -571,11 +439,11 @@ void emit_trace(const Options& options) {
 
 int main(int argc, char** argv) {
   try {
-    const auto parsed = parse_args(argc, argv);
-    if (!parsed) {
-      return usage(argv[0]);
+    const std::vector<cli::Flag<Options>> flags = all_flags();
+    Options options;
+    if (!cli::parse_flags<Options>(flags, argc, argv, options, std::cerr)) {
+      return usage(argv[0], flags);
     }
-    const Options& options = *parsed;
 
     if (options.list_programs) {
       for (const auto& entry : larcs::programs::catalog()) {
@@ -592,26 +460,26 @@ int main(int argc, char** argv) {
     }
     if ((!options.larcs_file && !options.program_name) ||
         !options.topology_spec) {
-      return usage(argv[0]);
+      return usage(argv[0], flags);
     }
     if (options.repair && !options.fault_spec) {
       std::cerr << "--repair requires --inject-faults\n";
-      return usage(argv[0]);
+      return usage(argv[0], flags);
     }
     if (options.explain && options.mapper.portfolio <= 0) {
       std::cerr << "--explain requires --portfolio N (the provenance "
                    "report describes the portfolio decision)\n";
-      return usage(argv[0]);
+      return usage(argv[0], flags);
     }
     if (options.pareto && options.mapper.portfolio <= 0) {
       std::cerr << "--pareto requires --portfolio N (the front ranks the "
                    "portfolio candidates)\n";
-      return usage(argv[0]);
+      return usage(argv[0], flags);
     }
     if (const std::string error = check_mapper_options(options.mapper, "--");
         !error.empty()) {
       std::cerr << error << "\n";
-      return usage(argv[0]);
+      return usage(argv[0], flags);
     }
     if (options.trace_file || options.trace_summary) {
       trace::enable();

@@ -1,11 +1,7 @@
 // oregami_serve -- the long-lived mapping daemon.
 //
-//   oregami_serve [--jobs J] [--queue-capacity N] [--cache-capacity N]
-//                 [--cache-shards S] [--deadline MS] [--deterministic]
-//                 [--cache-file PATH] [--failpoints SCHED]
-//                 [--trace FILE] [--trace-summary]
-//                 [--metrics-file PATH] [--metrics-interval SEC]
-//                 [--log FILE] [--log-level LVL] [--stats-json]
+//   oregami_serve [options]    (kFlags below lists them; a bad flag
+//                              prints that list as usage)
 //
 // Reads newline-delimited JSON jobs from stdin (protocol in
 // src/oregami/server/wire.hpp), emits one JSON result line per job on
@@ -44,9 +40,11 @@
 #include <string>
 #include <thread>
 
+#include "oregami/mapper/driver.hpp"
 #include "oregami/server/persist.hpp"
 #include "oregami/server/server.hpp"
 #include "oregami/server/telemetry.hpp"
+#include "oregami/support/cli_flags.hpp"
 #include "oregami/support/failpoint.hpp"
 #include "oregami/support/metrics.hpp"
 #include "oregami/support/trace.hpp"
@@ -76,44 +74,76 @@ extern "C" void handle_stop_signal(int sig) {
 #endif
 }
 
+/// Everything the command line sets.
+struct Args {
+  oregami::server::ServerOptions server;
+  std::optional<std::string> trace_file;
+  std::optional<std::string> cache_file;
+  std::optional<std::string> failpoints;
+  std::optional<std::string> metrics_file;
+  std::optional<std::string> log_file;
+  long long metrics_interval = 0;
+  std::optional<oregami::server::EventLog::Level> log_level;
+  bool trace_summary = false;
+  bool stats_json = false;
+};
+
+std::string set_log_level(Args& args, const oregami::cli::Value& value) {
+  args.log_level =
+      oregami::server::EventLog::parse_level(std::string(value.text));
+  return args.log_level ? "" : "bad --log-level '" + std::string(value.text) +
+                                   "' (expected debug|info|warn)";
+}
+
+using oregami::cli::Arg;
+using oregami::cli::store;
+using oregami::server::ServerOptions;
+
+constexpr oregami::cli::Flag<Args> kFlags[] = {
+    {"--jobs", Arg::Int, "J", "worker threads (0 = all cores; default 1)",
+     store<&Args::server, &ServerOptions::jobs>, 0, oregami::kMaxJobs},
+    {"--queue-capacity", Arg::Int, "N",
+     "reject jobs (code 5) when N are pending (default 64)",
+     store<&Args::server, &ServerOptions::queue_capacity>, 1, 1 << 20},
+    {"--cache-capacity", Arg::Int, "N",
+     "resident result-cache entries (default 1024)",
+     store<&Args::server, &ServerOptions::cache_capacity>, 1, 1LL << 30},
+    {"--cache-shards", Arg::Int, "S", "cache lock stripes (default 8)",
+     store<&Args::server, &ServerOptions::cache_shards>, 1, 256},
+    // Negative = already expired: deterministic, used by tests.
+    {"--deadline", Arg::Int, "MS",
+     "default per-job deadline; jobs may override (0 = none)",
+     store<&Args::server, &ServerOptions::default_deadline_ms>, -1,
+     1LL << 40},
+    {"--deterministic", Arg::None, "", "print wall_ms as 0.000 (byte-stable)",
+     store<&Args::server, &ServerOptions::deterministic>},
+    {"--cache-file", Arg::String, "PATH", "recover on boot, journal outcomes",
+     store<&Args::cache_file>},
+    {"--failpoints", Arg::String, "SCHED",
+     "arm a chaos schedule, e.g. \"persist.write:err@3\"",
+     store<&Args::failpoints>},
+    {"--trace", Arg::String, "FILE", "write a Chrome trace-event JSON",
+     store<&Args::trace_file>},
+    {"--trace-summary", Arg::None, "", "print the ASCII span tree to stderr",
+     store<&Args::trace_summary>},
+    {"--metrics-file", Arg::String, "PATH", "publish Prometheus text to PATH",
+     store<&Args::metrics_file>},
+    {"--metrics-interval", Arg::Int, "SEC",
+     "publish every SEC seconds (needs --metrics-file)",
+     store<&Args::metrics_interval>, 1, 86400},
+    {"--log", Arg::String, "FILE", "structured NDJSON event log",
+     store<&Args::log_file>},
+    {"--log-level", Arg::String, "LVL",
+     "debug|info|warn (default info; needs --log)", set_log_level},
+    {"--stats-json", Arg::None, "", "print the extended stats{...} line",
+     store<&Args::stats_json>},
+};
+
 int usage() {
-  std::cerr
-      << "usage: oregami_serve [options]  (jobs on stdin, results on "
-         "stdout)\n"
-      << "  --jobs J            worker threads (0 = all cores; default 1)\n"
-      << "  --queue-capacity N  admission bound: reject jobs (code 5) when\n"
-      << "                      N are already pending (default 64)\n"
-      << "  --cache-capacity N  resident result-cache entries "
-         "(default 1024)\n"
-      << "  --cache-shards S    cache lock stripes (default 8)\n"
-      << "  --deadline MS       default per-job deadline; jobs may "
-         "override\n"
-      << "                      with \"deadline_ms\" (0 = none)\n"
-      << "  --deterministic     print wall_ms as 0.000 (byte-stable "
-         "output)\n"
-      << "  --cache-file PATH   crash-safe cache persistence: recover "
-         "PATH\n"
-      << "                      on boot (warm restart), journal every\n"
-      << "                      computed outcome (report on stderr)\n"
-      << "  --failpoints SCHED  arm a deterministic chaos schedule, "
-         "e.g.\n"
-      << "                      \"persist.write:err@3,job.run:hang@7\"\n"
-      << "  --trace FILE        write a Chrome trace-event JSON of the "
-         "run\n"
-      << "  --trace-summary     print the ASCII span tree to stderr\n"
-      << "  --metrics-file PATH publish Prometheus text exposition to "
-         "PATH\n"
-      << "                      (atomic rename) at shutdown, on SIGUSR1,\n"
-      << "                      and every --metrics-interval seconds\n"
-      << "  --metrics-interval SEC  periodic metrics publication "
-         "(needs\n"
-      << "                      --metrics-file; 1..86400)\n"
-      << "  --log FILE          structured NDJSON event log\n"
-      << "  --log-level LVL     debug|info|warn (default info; needs "
-         "--log)\n"
-      << "  --stats-json        print the extended stats{...} shutdown "
-         "line\n"
-      << "exit codes: 0 clean drain, 1 internal error, 2 usage\n";
+  std::cerr << "usage: oregami_serve [options]  (jobs on stdin, results on "
+               "stdout)\n"
+            << oregami::cli::usage<Args>(kFlags)
+            << "exit codes: 0 clean drain, 1 internal error, 2 usage\n";
   return 2;
 }
 
@@ -121,122 +151,17 @@ int usage() {
 
 int main(int argc, char** argv) {
   try {
-    oregami::server::ServerOptions options;
-    std::optional<std::string> trace_file;
-    std::optional<std::string> cache_file;
-    std::optional<std::string> failpoints;
-    std::optional<std::string> metrics_file;
-    std::optional<std::string> log_file;
-    long long metrics_interval = 0;
-    auto log_level = oregami::server::EventLog::Level::kInfo;
-    bool log_level_set = false;
-    bool trace_summary = false;
-    bool stats_json = false;
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      auto next_int = [&](long long lo, long long hi,
-                          const char* what) -> std::optional<long long> {
-        if (i + 1 >= argc) {
-          std::cerr << arg << " needs an argument\n";
-          return std::nullopt;
-        }
-        try {
-          const long long v = std::stoll(argv[++i]);
-          if (v < lo || v > hi) {
-            std::cerr << arg << " expects " << what << "\n";
-            return std::nullopt;
-          }
-          return v;
-        } catch (const std::exception&) {
-          std::cerr << "bad " << arg << " value '" << argv[i] << "'\n";
-          return std::nullopt;
-        }
-      };
-      if (arg == "--jobs") {
-        const auto v = next_int(0, 4096, "J >= 0 (0 = all cores)");
-        if (!v) return usage();
-        options.jobs = static_cast<int>(*v);
-      } else if (arg == "--queue-capacity") {
-        const auto v = next_int(1, 1 << 20, "N >= 1");
-        if (!v) return usage();
-        options.queue_capacity = static_cast<int>(*v);
-      } else if (arg == "--cache-capacity") {
-        const auto v = next_int(1, 1LL << 30, "N >= 1");
-        if (!v) return usage();
-        options.cache_capacity = static_cast<std::size_t>(*v);
-      } else if (arg == "--cache-shards") {
-        const auto v = next_int(1, 256, "1 <= S <= 256");
-        if (!v) return usage();
-        options.cache_shards = static_cast<int>(*v);
-      } else if (arg == "--deadline") {
-        // Negative = already expired: deterministic, used by tests.
-        const auto v = next_int(-1, 1LL << 40, "MS >= -1");
-        if (!v) return usage();
-        options.default_deadline_ms = *v;
-      } else if (arg == "--deterministic") {
-        options.deterministic = true;
-      } else if (arg == "--cache-file") {
-        if (i + 1 >= argc) {
-          std::cerr << "--cache-file needs an argument\n";
-          return usage();
-        }
-        cache_file = argv[++i];
-      } else if (arg == "--failpoints") {
-        if (i + 1 >= argc) {
-          std::cerr << "--failpoints needs an argument\n";
-          return usage();
-        }
-        failpoints = argv[++i];
-      } else if (arg == "--trace") {
-        if (i + 1 >= argc) {
-          std::cerr << "--trace needs an argument\n";
-          return usage();
-        }
-        trace_file = argv[++i];
-      } else if (arg == "--trace-summary") {
-        trace_summary = true;
-      } else if (arg == "--metrics-file") {
-        if (i + 1 >= argc) {
-          std::cerr << "--metrics-file needs an argument\n";
-          return usage();
-        }
-        metrics_file = argv[++i];
-      } else if (arg == "--metrics-interval") {
-        const auto v = next_int(1, 86400, "1 <= SEC <= 86400");
-        if (!v) return usage();
-        metrics_interval = *v;
-      } else if (arg == "--log") {
-        if (i + 1 >= argc) {
-          std::cerr << "--log needs an argument\n";
-          return usage();
-        }
-        log_file = argv[++i];
-      } else if (arg == "--log-level") {
-        if (i + 1 >= argc) {
-          std::cerr << "--log-level needs an argument\n";
-          return usage();
-        }
-        const auto lvl =
-            oregami::server::EventLog::parse_level(argv[++i]);
-        if (!lvl) {
-          std::cerr << "bad --log-level '" << argv[i]
-                    << "' (expected debug|info|warn)\n";
-          return usage();
-        }
-        log_level = *lvl;
-        log_level_set = true;
-      } else if (arg == "--stats-json") {
-        stats_json = true;
-      } else {
-        std::cerr << "unknown option '" << arg << "'\n";
-        return usage();
-      }
+    Args args;
+    if (!oregami::cli::parse_flags<Args>(kFlags, argc, argv, args,
+                                         std::cerr)) {
+      return usage();
     }
-    if (metrics_interval > 0 && !metrics_file) {
+    oregami::server::ServerOptions& options = args.server;
+    if (args.metrics_interval > 0 && !args.metrics_file) {
       std::cerr << "--metrics-interval needs --metrics-file\n";
       return usage();
     }
-    if (log_level_set && !log_file) {
+    if (args.log_level && !args.log_file) {
       std::cerr << "--log-level needs --log\n";
       return usage();
     }
@@ -257,9 +182,9 @@ int main(int argc, char** argv) {
     std::signal(SIGTERM, handle_stop_signal);
 #endif
 
-    if (failpoints) {
+    if (args.failpoints) {
       try {
-        oregami::failpoint::configure(*failpoints);
+        oregami::failpoint::configure(*args.failpoints);
       } catch (const std::invalid_argument& e) {
         std::cerr << e.what() << "\n";
         return usage();
@@ -271,16 +196,16 @@ int main(int argc, char** argv) {
     oregami::server::ResultCache cache(options.cache_capacity,
                                        options.cache_shards);
     std::optional<oregami::server::CacheJournal> journal;
-    if (cache_file) {
+    if (args.cache_file) {
       options.cache = &cache;
-      journal.emplace(*cache_file, cache);
+      journal.emplace(*args.cache_file, cache);
       const auto recovery = journal->open_and_recover();
-      std::cerr << "cache-file " << *cache_file << ": "
+      std::cerr << "cache-file " << *args.cache_file << ": "
                 << recovery.to_string() << "\n";
       options.journal = &*journal;
     }
 
-    if (trace_file || trace_summary) {
+    if (args.trace_file || args.trace_summary) {
       oregami::trace::enable();
     }
 
@@ -288,10 +213,13 @@ int main(int argc, char** argv) {
     // event log exactly as it does to the wire format.
     oregami::metrics::set_deterministic(options.deterministic);
     std::optional<oregami::server::EventLog> event_log;
-    if (log_file) {
-      event_log.emplace(*log_file, log_level, options.deterministic);
+    if (args.log_file) {
+      event_log.emplace(
+          *args.log_file,
+          args.log_level.value_or(oregami::server::EventLog::Level::kInfo),
+          options.deterministic);
       if (!event_log->ok()) {
-        std::cerr << "warning: cannot write log to '" << *log_file
+        std::cerr << "warning: cannot write log to '" << *args.log_file
                   << "'; event logging disabled\n";
         event_log.reset();
       } else {
@@ -303,7 +231,7 @@ int main(int argc, char** argv) {
     }
     std::thread metrics_thread;
     std::atomic<bool> metrics_thread_stop{false};
-    if (metrics_file) {
+    if (args.metrics_file) {
       oregami::metrics::enable();
       // Register the full server series set up front so every
       // exposition -- including an early SIGUSR1 dump -- has it.
@@ -315,16 +243,16 @@ int main(int argc, char** argv) {
       usr1.sa_flags = SA_RESTART;  // a dump must not interrupt the read
       sigaction(SIGUSR1, &usr1, nullptr);
 #endif
-      metrics_thread = std::thread([&metrics_thread_stop, metrics_interval,
-                                    path = *metrics_file] {
+      metrics_thread = std::thread([&metrics_thread_stop,
+                                    interval = args.metrics_interval,
+                                    path = *args.metrics_file] {
         bool warned = false;
         auto last = std::chrono::steady_clock::now();
         while (!metrics_thread_stop.load(std::memory_order_relaxed)) {
           std::this_thread::sleep_for(std::chrono::milliseconds(100));
           bool due = g_dump_metrics.exchange(false);
-          if (metrics_interval > 0 &&
-              std::chrono::steady_clock::now() - last >=
-                  std::chrono::seconds(metrics_interval)) {
+          if (interval > 0 && std::chrono::steady_clock::now() - last >=
+                                  std::chrono::seconds(interval)) {
             due = true;
           }
           if (!due) continue;
@@ -359,7 +287,7 @@ int main(int argc, char** argv) {
     if (journal) {
       journal->flush();
       const auto pstats = journal->stats();
-      std::cerr << "cache-file " << *cache_file << ": appended "
+      std::cerr << "cache-file " << *args.cache_file << ": appended "
                 << pstats.appended << ", compactions "
                 << pstats.compactions << ", io_errors " << pstats.io_errors
                 << (pstats.degraded ? ", persistence degraded" : "")
@@ -374,10 +302,10 @@ int main(int argc, char** argv) {
                              (pstats.degraded ? "true" : "false"));
       }
     }
-    if (failpoints) {
+    if (args.failpoints) {
       const std::string fired = oregami::failpoint::report();
       if (!fired.empty()) {
-        std::cerr << "failpoints: " << fired << "\n";
+        std::cerr << "args.failpoints: " << fired << "\n";
       }
     }
     if (event_log) {
@@ -389,29 +317,29 @@ int main(int argc, char** argv) {
               ",\"errors\":" + std::to_string(stats.errors));
       event_log->close();
     }
-    if (metrics_file &&
-        !oregami::metrics::write_prometheus_file(*metrics_file)) {
-      std::cerr << "warning: cannot write metrics to '" << *metrics_file
+    if (args.metrics_file &&
+        !oregami::metrics::write_prometheus_file(*args.metrics_file)) {
+      std::cerr << "warning: cannot write metrics to '" << *args.metrics_file
                 << "'\n";
     }
-    std::cerr << (stats_json
+    std::cerr << (args.stats_json
                       ? oregami::server::render_stats_line(stats, uptime_ms)
                       : stats.to_json())
               << "\n";
 
-    if (trace_file || trace_summary) {
+    if (args.trace_file || args.trace_summary) {
       oregami::trace::disable();
       const auto events = oregami::trace::snapshot();
-      if (trace_file) {
-        std::ofstream out(*trace_file);
+      if (args.trace_file) {
+        std::ofstream out(*args.trace_file);
         if (!out) {
-          std::cerr << "warning: cannot write trace to '" << *trace_file
+          std::cerr << "warning: cannot write trace to '" << *args.trace_file
                     << "'\n";
         } else {
           oregami::trace::write_chrome_json(out, events);
         }
       }
-      if (trace_summary) {
+      if (args.trace_summary) {
         std::cerr << oregami::trace::summary_tree(events);
       }
     }
