@@ -431,6 +431,11 @@ std::string check_mapper_options(const MapperOptions& options,
   if (options.jobs > kMaxJobs) {
     return p + "jobs must be <= " + std::to_string(kMaxJobs);
   }
+  if (options.time_budget_ms > kMaxDeadlineMs) {
+    // The one option whose CLI flag is not its wire key.
+    return (prefix == "--" ? "--time-budget" : p + "budget_ms") +
+           " must be <= " + std::to_string(kMaxDeadlineMs) + " (2^40 ms)";
+  }
   if (options.multilevel < -1 || options.multilevel > kMaxMultilevel) {
     return p + "multilevel must be 0 (off), -1 (auto depth) or 1..64 "
                "(level cap)";

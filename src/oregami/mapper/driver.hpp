@@ -28,6 +28,7 @@
 #include "oregami/core/task_graph.hpp"
 #include "oregami/larcs/compiler.hpp"
 #include "oregami/mapper/mm_route.hpp"
+#include "oregami/support/deadline.hpp"
 
 namespace oregami {
 
@@ -114,10 +115,11 @@ inline constexpr int kMaxMultilevel = 64;    ///< coarsening levels
 
 /// Checks the option ranges and combinations every front end shares:
 /// `portfolio`, `anneal` and `jobs` lie in 0..their kMax* bound,
-/// `multilevel` is 0, -1 or 1..64, `anneal` and `heft` need `portfolio`
-/// > 0, and `multilevel` excludes `portfolio`. Returns "" when the
-/// options are valid, else a message naming each option as `prefix` +
-/// field ("options." for the wire, "--" for the CLI).
+/// `time_budget_ms` is at most kMaxDeadlineMs, `multilevel` is 0, -1
+/// or 1..64, `anneal` and `heft` need `portfolio` > 0, and `multilevel`
+/// excludes `portfolio`. Returns "" when the options are valid, else a
+/// message naming each option as `prefix` + wire key ("options." for
+/// the wire), or by its CLI flag when `prefix` is "--".
 [[nodiscard]] std::string check_mapper_options(const MapperOptions& options,
                                                std::string_view prefix);
 

@@ -28,17 +28,14 @@ constexpr std::uint32_t kMaxPayload = 64U << 20;
 constexpr std::uint32_t kMaxTasks = 1U << 24;
 constexpr std::size_t kRecordHeaderSize = 16;
 
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
+/// Appends the low `n` bytes of `v`, little-endian.
+void put_le(std::string& out, std::uint64_t v, int n) {
+  for (int i = 0; i < n; ++i) {
     out += static_cast<char>((v >> (8 * i)) & 0xFF);
   }
 }
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out += static_cast<char>((v >> (8 * i)) & 0xFF);
-  }
-}
+void put_u32(std::string& out, std::uint32_t v) { put_le(out, v, 4); }
+void put_u64(std::string& out, std::uint64_t v) { put_le(out, v, 8); }
 
 void put_str(std::string& out, const std::string& s) {
   put_u32(out, static_cast<std::uint32_t>(s.size()));
@@ -52,35 +49,21 @@ struct Reader {
   std::size_t pos = 0;
   bool ok = true;
 
-  std::uint32_t u32() {
-    if (!ok || data.size() - pos < 4) {
-      ok = false;
-      return 0;
-    }
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(
-               static_cast<unsigned char>(data[pos + static_cast<std::size_t>(i)]))
-           << (8 * i);
-    }
-    pos += 4;
-    return v;
-  }
-
-  std::uint64_t u64() {
-    if (!ok || data.size() - pos < 8) {
+  /// The next `n` bytes as a little-endian integer.
+  std::uint64_t le(std::size_t n) {
+    if (!ok || data.size() - pos < n) {
       ok = false;
       return 0;
     }
     std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(
-               static_cast<unsigned char>(data[pos + static_cast<std::size_t>(i)]))
-           << (8 * i);
+    for (std::size_t i = 0; i < n; ++i) {
+      v |= std::uint64_t{static_cast<unsigned char>(data[pos + i])} << (8 * i);
     }
-    pos += 8;
+    pos += n;
     return v;
   }
+  std::uint32_t u32() { return static_cast<std::uint32_t>(le(4)); }
+  std::uint64_t u64() { return le(8); }
 
   std::string str() {
     const std::uint32_t n = u32();
@@ -112,6 +95,21 @@ bool read_record_header(const std::string& data, std::size_t at,
   len = r.u32();
   checksum = r.u64();
   return r.ok && magic == kRecordMagic && len <= kMaxPayload;
+}
+
+/// Writes `bytes` and flushes; false unless every byte landed. The
+/// persist.write failpoint fails the write (err) or tears it in half
+/// (short), as a crash mid-write leaves behind.
+bool write_bytes(std::FILE* file, const std::string& bytes) {
+  const auto fp = failpoint::evaluate("persist.write");
+  if (fp.action == failpoint::Action::Err) {
+    return false;
+  }
+  const std::size_t n = fp.action == failpoint::Action::Short
+                            ? bytes.size() / 2
+                            : bytes.size();
+  const bool whole = std::fwrite(bytes.data(), 1, n, file) == bytes.size();
+  return std::fflush(file) == 0 && whole;
 }
 
 /// The byte pattern of the record magic, for the resync scan.
@@ -315,38 +313,32 @@ RecoveryStats CacheJournal::open_and_recover() {
     sm.recovery_skipped.add(recovery.skipped);
   }
   const std::lock_guard<std::mutex> lock(mutex_);
-  const std::int64_t io_before = stats_.io_errors;
   // Boot always rewrites a compacted snapshot: it creates the file on
   // first boot, sheds skipped garbage and duplicates after a crash,
   // and replaces a version-skewed file with the current format.
   if (!compact_locked()) {
     stats_.degraded = true;
   }
-  if (metrics::enabled()) {
-    server_metrics().persist_io_errors.add(stats_.io_errors - io_before);
-  }
   return recovery;
+}
+
+void CacheJournal::count_locked(std::int64_t PersistStats::*field) {
+  ++(stats_.*field);
+  if (metrics::enabled()) {
+    ServerMetrics& sm = server_metrics();
+    (field == &PersistStats::appended      ? sm.persist_appends
+     : field == &PersistStats::compactions ? sm.persist_compactions
+                                           : sm.persist_io_errors)
+        .increment();
+  }
 }
 
 bool CacheJournal::write_record_locked(const std::string& record) {
   if (file_ == nullptr || stats_.degraded) {
     return false;
   }
-  const auto fp = failpoint::evaluate("persist.write");
-  if (fp.action == failpoint::Action::Err) {
-    ++stats_.io_errors;
-    stats_.degraded = true;
-    return false;
-  }
-  std::size_t to_write = record.size();
-  if (fp.action == failpoint::Action::Short) {
-    to_write /= 2;  // a torn record, as a crash mid-write leaves behind
-  }
-  const std::size_t written =
-      std::fwrite(record.data(), 1, to_write, file_);
-  std::fflush(file_);
-  if (written != record.size()) {
-    ++stats_.io_errors;
+  if (!write_bytes(file_, record)) {
+    count_locked(&PersistStats::io_errors);
     stats_.degraded = true;
     return false;
   }
@@ -359,21 +351,15 @@ bool CacheJournal::append(std::uint64_t digest,
   const auto start = std::chrono::steady_clock::now();
   const std::string record = encode_record(digest, outcome);
   const std::lock_guard<std::mutex> lock(mutex_);
-  const std::int64_t io_before = stats_.io_errors;
   const bool wrote = write_record_locked(record);
   if (wrote) {
-    ++stats_.appended;
+    count_locked(&PersistStats::appended);
     if (compact_every_ > 0 && ++appends_since_compact_ >= compact_every_) {
       // Best-effort: a failed compaction keeps the (valid) journal.
       (void)compact_locked();
     }
   }
-  if (telemetry) {
-    ServerMetrics& sm = server_metrics();
-    sm.persist_append_us.record(elapsed_us(start));
-    if (wrote) sm.persist_appends.increment();
-    sm.persist_io_errors.add(stats_.io_errors - io_before);
-  }
+  if (telemetry) server_metrics().persist_append_us.record(elapsed_us(start));
   return wrote;
 }
 
@@ -381,11 +367,8 @@ bool CacheJournal::compact_locked() {
   const bool telemetry = metrics::enabled();
   const auto start = std::chrono::steady_clock::now();
   const bool ok = compact_locked_impl();
-  if (telemetry) {
-    ServerMetrics& sm = server_metrics();
-    sm.persist_compact_us.record(elapsed_us(start));
-    if (ok) sm.persist_compactions.increment();
-  }
+  count_locked(ok ? &PersistStats::compactions : &PersistStats::io_errors);
+  if (telemetry) server_metrics().persist_compact_us.record(elapsed_us(start));
   return ok;
 }
 
@@ -400,39 +383,21 @@ bool CacheJournal::compact_locked_impl() {
   const std::string tmp = path_ + ".tmp";
   std::FILE* out = std::fopen(tmp.c_str(), "wb");
   if (out == nullptr) {
-    ++stats_.io_errors;
     return false;
   }
-  const auto fp = failpoint::evaluate("persist.write");
-  std::size_t to_write = snapshot.size();
-  if (fp.action == failpoint::Action::Short) {
-    to_write /= 2;
-  }
-  bool ok = fp.action != failpoint::Action::Err &&
-            std::fwrite(snapshot.data(), 1, to_write, out) ==
-                snapshot.size() &&
-            std::fflush(out) == 0;
+  bool ok = write_bytes(out, snapshot);
 #if !defined(_WIN32)
-  if (ok) {
-    const bool fsync_ok =
-        failpoint::evaluate("persist.fsync").action ==
-            failpoint::Action::None &&
-        ::fsync(fileno(out)) == 0;
-    ok = fsync_ok;
-  }
+  ok = ok &&
+       failpoint::evaluate("persist.fsync").action ==
+           failpoint::Action::None &&
+       ::fsync(fileno(out)) == 0;
 #endif
   std::fclose(out);
-  if (!ok) {
-    std::remove(tmp.c_str());
-    ++stats_.io_errors;
-    return false;
-  }
-
-  if (failpoint::evaluate("persist.rename").action !=
+  if (!ok ||
+      failpoint::evaluate("persist.rename").action !=
           failpoint::Action::None ||
       std::rename(tmp.c_str(), path_.c_str()) != 0) {
     std::remove(tmp.c_str());
-    ++stats_.io_errors;
     return false;
   }
 
@@ -442,11 +407,9 @@ bool CacheJournal::compact_locked_impl() {
   }
   file_ = std::fopen(path_.c_str(), "ab");
   if (file_ == nullptr) {
-    ++stats_.io_errors;
     stats_.degraded = true;
     return false;
   }
-  ++stats_.compactions;
   appends_since_compact_ = 0;
   return true;
 }
@@ -469,8 +432,7 @@ void CacheJournal::flush() {
       failpoint::Action::None) {
     (void)::fsync(fileno(file_));
   } else {
-    ++stats_.io_errors;
-    if (telemetry) server_metrics().persist_io_errors.increment();
+    count_locked(&PersistStats::io_errors);
   }
 #endif
   if (telemetry) server_metrics().persist_fsync_us.record(elapsed_us(start));

@@ -136,8 +136,13 @@ class CacheJournal {
   [[nodiscard]] const std::string& path() const { return path_; }
 
  private:
+  /// Books one journal event -- an append, a compaction or an I/O
+  /// error, named by its PersistStats field -- in stats_ and in the
+  /// matching oregami_persist_* counter: the only place either counts.
+  void count_locked(std::int64_t PersistStats::*field);
   bool write_record_locked(const std::string& record);
   bool compact_locked();
+  /// The snapshot rewrite itself; compact_locked() counts its result.
   bool compact_locked_impl();
 
   mutable std::mutex mutex_;

@@ -18,7 +18,7 @@ ResultCache::ResultCache(std::size_t capacity, int shards) {
   }
 }
 
-ResultCache::Shard& ResultCache::shard_of(std::uint64_t digest) {
+ResultCache::Shard& ResultCache::shard_of(std::uint64_t digest) const {
   // Top bits: FNV-1a mixes high bits well, and the map's own bucketing
   // uses the low bits, so shard and bucket choice stay independent.
   const std::size_t index =
@@ -26,34 +26,46 @@ ResultCache::Shard& ResultCache::shard_of(std::uint64_t digest) {
   return *shards_[index];
 }
 
-const ResultCache::Shard& ResultCache::shard_of(std::uint64_t digest) const {
-  const std::size_t index =
-      static_cast<std::size_t>(digest >> 48) % shards_.size();
-  return *shards_[index];
+OutcomePtr ResultCache::find_locked(Shard& shard, std::uint64_t digest) {
+  const auto it = shard.map.find(digest);
+  if (it == shard.map.end()) {
+    return nullptr;
+  }
+  shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
+  return it->second.outcome;
 }
 
-std::shared_ptr<const CachedOutcome> ResultCache::lookup(
-    std::uint64_t digest) {
+OutcomePtr ResultCache::lookup(std::uint64_t digest) {
   Shard& shard = shard_of(digest);
-  std::shared_ptr<const CachedOutcome> found;
-  {
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.map.find(digest);
-    if (it != shard.map.end()) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
-      found = it->second.outcome;
+  const std::lock_guard<std::mutex> lock(shard.mutex);
+  return find_locked(shard, digest);
+}
+
+ResultCache::Claim ResultCache::claim(std::uint64_t digest) {
+  Shard& shard = shard_of(digest);
+  const std::lock_guard<std::mutex> lock(shard.mutex);
+  Claim claim{find_locked(shard, digest), {}};
+  if (claim.hit == nullptr) {
+    // try_emplace registers a new flight only when none is in the air.
+    if (const auto [it, fresh] = shard.inflight.try_emplace(digest); !fresh) {
+      claim.join = it->second.future;
     }
   }
-  if (found != nullptr) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return found;
+  return claim;
 }
 
-void ResultCache::insert(std::uint64_t digest,
-                         std::shared_ptr<const CachedOutcome> outcome) {
+void ResultCache::publish(std::uint64_t digest, OutcomePtr outcome) {
+  insert(digest, outcome);
+  Shard& shard = shard_of(digest);
+  std::promise<OutcomePtr> promise;
+  {
+    const std::lock_guard<std::mutex> lock(shard.mutex);
+    promise = std::move(shard.inflight.extract(digest).mapped().promise);
+  }
+  promise.set_value(std::move(outcome));
+}
+
+void ResultCache::insert(std::uint64_t digest, OutcomePtr outcome) {
   Shard& shard = shard_of(digest);
   std::int64_t evicted = 0;
   {
@@ -88,10 +100,9 @@ bool ResultCache::contains(std::uint64_t digest) const {
   return shard.map.find(digest) != shard.map.end();
 }
 
-std::vector<std::pair<std::uint64_t, std::shared_ptr<const CachedOutcome>>>
+std::vector<std::pair<std::uint64_t, OutcomePtr>>
 ResultCache::snapshot_entries() const {
-  std::vector<std::pair<std::uint64_t, std::shared_ptr<const CachedOutcome>>>
-      entries;
+  std::vector<std::pair<std::uint64_t, OutcomePtr>> entries;
   for (const auto& shard : shards_) {
     const std::lock_guard<std::mutex> lock(shard->mutex);
     for (const auto& [digest, slot] : shard->map) {
@@ -105,8 +116,6 @@ ResultCache::snapshot_entries() const {
 
 ResultCache::Stats ResultCache::stats() const {
   Stats s;
-  s.hits = hits_.load(std::memory_order_relaxed);
-  s.misses = misses_.load(std::memory_order_relaxed);
   s.evictions = evictions_.load(std::memory_order_relaxed);
   for (const auto& shard : shards_) {
     const std::lock_guard<std::mutex> lock(shard->mutex);

@@ -13,12 +13,15 @@
 //   * values are shared_ptr<const Outcome>: a hit hands back a
 //     refcount, never a copy, and an entry evicted mid-use stays alive
 //     until its last reader drops it;
-//   * hit/miss/eviction counters are relaxed atomics, exported through
-//     the PR 4 trace/counter machinery by the server loop.
+//   * single-flight: claim() decides hit, join or compute under the
+//     shard lock, so exactly one caller computes each digest and
+//     identical concurrent callers join its future; hit/miss tallies
+//     are the caller's (the server keeps its own).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <future>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -47,13 +50,22 @@ struct CachedOutcome {
   std::vector<int> proc_of_task;
 };
 
+using OutcomePtr = std::shared_ptr<const CachedOutcome>;
+
 class ResultCache {
  public:
   struct Stats {
-    std::int64_t hits = 0;
-    std::int64_t misses = 0;
     std::int64_t evictions = 0;
     std::int64_t size = 0;  ///< current resident entries
+  };
+
+  /// What claim() decided for a digest: a resident `hit`, a `join` onto
+  /// the identical computation in flight, or neither -- the caller now
+  /// computes the outcome and must hand it to publish().
+  struct Claim {
+    OutcomePtr hit;
+    std::shared_future<OutcomePtr> join;
+    [[nodiscard]] bool computes() const { return !hit && !join.valid(); }
   };
 
   /// `capacity` = max resident entries (>= 1), split across `shards`
@@ -64,16 +76,20 @@ class ResultCache {
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
-  /// Looks up `digest`, refreshing its LRU position. Counts a hit or a
-  /// miss. nullptr on miss.
-  [[nodiscard]] std::shared_ptr<const CachedOutcome> lookup(
-      std::uint64_t digest);
+  /// Looks up `digest`, refreshing its LRU position. nullptr on miss.
+  [[nodiscard]] OutcomePtr lookup(std::uint64_t digest);
 
   /// Inserts (or refreshes) `digest`; evicts the shard's LRU tail when
   /// the shard is over its bound. Re-inserting an existing digest
   /// replaces the value without counting an eviction.
-  void insert(std::uint64_t digest,
-              std::shared_ptr<const CachedOutcome> outcome);
+  void insert(std::uint64_t digest, OutcomePtr outcome);
+
+  /// Single-flight lookup: one shard lock decides hit, join or compute.
+  [[nodiscard]] Claim claim(std::uint64_t digest);
+
+  /// Inserts the outcome of a computing claim() and wakes its joiners;
+  /// call it exactly once per such claim.
+  void publish(std::uint64_t digest, OutcomePtr outcome);
 
   /// True when `digest` is resident (no LRU refresh, no counter).
   [[nodiscard]] bool contains(std::uint64_t digest) const;
@@ -82,8 +98,7 @@ class ResultCache {
   /// for the persistence layer's compaction (the shared_ptr values
   /// keep entries alive across concurrent eviction). Takes each
   /// shard's lock in turn, never all at once.
-  [[nodiscard]] std::vector<
-      std::pair<std::uint64_t, std::shared_ptr<const CachedOutcome>>>
+  [[nodiscard]] std::vector<std::pair<std::uint64_t, OutcomePtr>>
   snapshot_entries() const;
 
   [[nodiscard]] Stats stats() const;
@@ -98,20 +113,28 @@ class ResultCache {
     /// Most-recent first; nodes own the digest for O(1) erase-by-map.
     std::list<std::uint64_t> lru;
     struct Slot {
-      std::shared_ptr<const CachedOutcome> outcome;
+      OutcomePtr outcome;
       std::list<std::uint64_t>::iterator lru_it;
     };
     std::unordered_map<std::uint64_t, Slot> map;
+    /// Digests claimed for computation and not yet published.
+    struct Flight {
+      std::promise<OutcomePtr> promise;
+      std::shared_future<OutcomePtr> future = promise.get_future().share();
+    };
+    std::unordered_map<std::uint64_t, Flight> inflight;
   };
 
-  [[nodiscard]] Shard& shard_of(std::uint64_t digest);
-  [[nodiscard]] const Shard& shard_of(std::uint64_t digest) const;
+  /// Shards are owned through pointers, so a const cache still hands
+  /// out a lockable shard.
+  [[nodiscard]] Shard& shard_of(std::uint64_t digest) const;
+  /// The body of lookup(); the caller holds `shard.mutex`.
+  [[nodiscard]] static OutcomePtr find_locked(Shard& shard,
+                                              std::uint64_t digest);
 
   std::size_t capacity_ = 0;
   std::size_t per_shard_capacity_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<std::int64_t> hits_{0};
-  std::atomic<std::int64_t> misses_{0};
   std::atomic<std::int64_t> evictions_{0};
 };
 

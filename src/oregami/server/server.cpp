@@ -1,18 +1,17 @@
 #include "oregami/server/server.hpp"
 
-#include <algorithm>
+#include <array>
 #include <chrono>
 #include <condition_variable>
 #include <fstream>
-#include <future>
 #include <istream>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -25,7 +24,6 @@
 #include "oregami/server/persist.hpp"
 #include "oregami/server/telemetry.hpp"
 #include "oregami/server/wire.hpp"
-#include "oregami/support/deadline.hpp"
 #include "oregami/support/failpoint.hpp"
 #include "oregami/support/error.hpp"
 #include "oregami/support/thread_pool.hpp"
@@ -36,7 +34,7 @@ namespace oregami::server {
 
 namespace {
 
-using OutcomePtr = std::shared_ptr<const CachedOutcome>;
+using Clock = std::chrono::steady_clock;
 
 /// The compiled half of a job (everything the digest and the mapper
 /// need).
@@ -50,7 +48,7 @@ struct CompiledJob {
 /// a "job <id>: "-prefixed message on every failure.
 CompiledJob compile_job(const WireJob& job) {
   const std::string prefix = "job " + job.id + ": ";
-  std::string source;
+  std::string source = job.larcs;
   if (!job.program.empty()) {
     const auto* entry = larcs::programs::find(job.program);
     if (entry == nullptr) {
@@ -65,11 +63,7 @@ CompiledJob compile_job(const WireJob& job) {
       throw WireError(kJobBadInput, prefix + "cannot open program_file \"" +
                                         job.program_file + "\"");
     }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    source = buffer.str();
-  } else {
-    source = job.larcs;
+    source.assign(std::istreambuf_iterator<char>(in), {});
   }
 
   // Topology first: a typo'd machine spec should be reported as such
@@ -108,85 +102,111 @@ OutcomePtr compute_outcome(const WireJob& job, const CompiledJob& cj) {
     const std::vector<int> procs = report.mapping.proc_of_task();
     const PlacementObjectives obj = extract_objectives(
         cj.compiled.graph, procs, report.mapping.routing, cj.topo);
-    outcome->ok = true;
     outcome->strategy = to_string(report.strategy);
     outcome->completion = obj.completion;
     outcome->external_ipc = obj.external_ipc;
     outcome->max_load = obj.max_load;
     outcome->num_procs = cj.topo.num_procs();
     outcome->proc_of_task = procs;
+    outcome->ok = true;
   } catch (const MappingError& e) {
-    outcome->ok = false;
     outcome->error_code = kJobInfeasible;
     outcome->error = "job " + job.id + ": mapping infeasible: " + e.what();
   } catch (const std::exception& e) {
-    outcome->ok = false;
     outcome->error_code = kJobInternal;
     outcome->error = "job " + job.id + ": internal error: " + e.what();
   }
   return outcome;
 }
 
-/// Shared mutable state of one serve() call. Workers only touch the
-/// thread-safe members; the scalar tallies are owned by the writer
-/// side (updated under `done_mutex`).
+/// What ServeState::count() books. The first five are how a job ended,
+/// the outcome partition of telemetry.hpp (hit and miss are ok lines,
+/// every error line is one of the other three); the last three are
+/// cache traffic, counted when a worker claims its digest, so a job
+/// the watchdog abandons still counts its hit or miss.
+enum Tally : std::size_t {
+  kHit, kMiss, kError, kRejected, kAbandoned,
+  kCacheHit, kCacheMiss, kDedupJoin, kTallies
+};
+
+/// One admitted job, shared by its worker and, when its deadline is
+/// positive, its watchdog ticket. Whoever flips `claimed` first emits
+/// the job's single result line; the loser stays silent.
+struct Admitted {
+  Admitted(WireJob j, Clock::time_point t) : job(std::move(j)), at(t) {}
+
+  WireJob job;  ///< deadline_ms holds the effective deadline
+  Clock::time_point at;
+  std::atomic<bool> claimed{false};
+};
+
+/// The `"id":"7","line":3` fragment that opens every job's log event
+/// (`"line":3` alone when the line never yielded an id).
+std::string id_line_fields(const std::string& id, std::size_t line) {
+  std::string out = id.empty() ? "" : "\"id\":\"" + json_escape(id) + "\",";
+  return out + "\"line\":" + std::to_string(line);
+}
+
+/// Shared mutable state of one serve() call.
 struct ServeState {
-  explicit ServeState(const ServerOptions& opts)
-      : results(256),
-        owned_cache(opts.cache == nullptr
-                        ? std::make_unique<ResultCache>(opts.cache_capacity,
-                                                        opts.cache_shards)
-                        : nullptr),
-        cache(opts.cache != nullptr ? opts.cache : owned_cache.get()) {}
+  explicit ServeState(const ServerOptions& options) : opts(options) {}
 
-  ThreadSafeQueue<std::string> results;
-  std::unique_ptr<ResultCache> owned_cache;
-  ResultCache* cache;
+  const ServerOptions& opts;
+  ThreadSafeQueue<std::string> results{256};
+  std::unique_ptr<ResultCache> owned_cache =
+      opts.cache != nullptr ? nullptr
+                            : std::make_unique<ResultCache>(
+                                  opts.cache_capacity, opts.cache_shards);
+  ResultCache* cache = opts.cache != nullptr ? opts.cache : owned_cache.get();
   /// Telemetry handles (registered once per process; recording is a
-  /// no-op while metrics are disabled).
+  /// no-op while metrics are disabled), indexed by Tally.
   ServerMetrics& sm = server_metrics();
+  const std::array<metrics::Counter*, kTallies> series{
+      &sm.jobs_hit,      &sm.jobs_miss,      &sm.jobs_error,
+      &sm.jobs_rejected, &sm.jobs_abandoned, &sm.cache_hits,
+      &sm.cache_misses,  &sm.dedup_joins};
+  const std::array<metrics::Histogram*, 3> wall_us{
+      &sm.wall_us_hit, &sm.wall_us_miss, &sm.wall_us_error};
+  std::array<std::atomic<std::int64_t>, kTallies> tally{};
 
-  /// Single-flight: digest -> the future of the first (and only)
-  /// computation in flight for it. Concurrent identical jobs join the
-  /// future instead of recomputing, which keeps hit/miss totals
-  /// schedule-independent.
-  std::mutex inflight_mutex;
-  std::unordered_map<std::uint64_t, std::shared_future<OutcomePtr>> inflight;
-
-  std::atomic<std::int64_t> ok{0};
-  std::atomic<std::int64_t> errors{0};
-  std::atomic<std::int64_t> abandoned{0};
-  std::atomic<std::int64_t> cache_hits{0};
-  std::atomic<std::int64_t> cache_misses{0};
-  std::atomic<std::int64_t> deduped{0};
-
-  /// Drain accounting: submitted jobs not yet fully emitted.
-  std::mutex done_mutex;
-  std::condition_variable all_done;
-  int outstanding = 0;
-
-  /// Watchdog registry: one ticket per admitted job with a positive
-  /// deadline. Whoever flips `claimed` first -- the worker finishing
-  /// or the watchdog at expiry -- emits the job's single result line
-  /// and settles the drain count; the loser stays silent.
-  struct Ticket {
-    std::string id;
-    std::size_t line = 0;
-    std::chrono::steady_clock::time_point expiry;
-    std::shared_ptr<std::atomic<bool>> claimed;
-  };
+  /// Watchdog registry: every admitted job with a positive deadline,
+  /// by expiry.
   std::mutex watch_mutex;
   std::condition_variable watch_cv;
-  std::vector<Ticket> watch;
+  std::multimap<Clock::time_point, std::shared_ptr<Admitted>> watch;
   bool watch_closed = false;
 
-  void job_finished() {
-    sm.inflight_jobs.add(-1);
-    {
-      const std::lock_guard<std::mutex> lock(done_mutex);
-      --outstanding;
+  /// Books one `what` in the tally (read into ServerStats) and in its
+  /// registry series: the only place either counts.
+  void count(Tally what) {
+    tally[what].fetch_add(1, std::memory_order_relaxed);
+    series[what]->increment();
+  }
+
+  /// The one place a result line is emitted. Pushes `result`, counts
+  /// `outcome` (kHit .. kAbandoned) once, and writes the job's
+  /// one log event (`detail` follows the id/line fragment). `job` is
+  /// the admitted job, or nullptr for a line answered at admission; a
+  /// worker's line (hit, miss or error) also records its wall and
+  /// write time.
+  void finish(Tally outcome, const std::string& id, std::size_t line,
+              std::string result, std::string_view event,
+              const std::string& detail, const Admitted* job) {
+    count(outcome);
+    const bool timed =
+        metrics::enabled() && job != nullptr && outcome != kAbandoned;
+    if (timed) wall_us[outcome]->record(elapsed_us(job->at));
+    const auto write_start = timed ? Clock::now() : Clock::time_point{};
+    results.push(std::move(result));
+    if (timed) sm.write_us.record(elapsed_us(write_start));
+    if (opts.log != nullptr) {
+      opts.log->event(
+          outcome == kAbandoned ? EventLog::Level::kWarn
+                                : EventLog::Level::kInfo,
+          static_cast<std::int64_t>(line), event,
+          id_line_fields(id, line) + detail);
     }
-    all_done.notify_all();
+    if (job != nullptr) sm.inflight_jobs.add(-1);
   }
 };
 
@@ -194,81 +214,61 @@ struct ServeState {
 /// abandons (code 6) every job whose worker has not claimed it by its
 /// expiry. The daemon keeps draining -- the stuck worker's eventual
 /// line is discarded by the claimed flag.
-void run_watchdog(ServeState& state, const ServerOptions& opts) {
+void run_watchdog(ServeState& state) {
   std::unique_lock<std::mutex> lock(state.watch_mutex);
-  for (;;) {
-    if (state.watch_closed) {
-      return;  // drain finished: every remaining ticket is claimed
-    }
+  // Closed once the drain is over: every remaining ticket is claimed.
+  while (!state.watch_closed) {
     // Tickets claimed by their worker are dead weight; drop them so
-    // the scan below never waits on one.
-    state.watch.erase(
-        std::remove_if(state.watch.begin(), state.watch.end(),
-                       [](const ServeState::Ticket& t) {
-                         return t.claimed->load(std::memory_order_relaxed);
-                       }),
-        state.watch.end());
+    // the wait below never waits on one.
+    std::erase_if(state.watch, [](const auto& ticket) {
+      return ticket.second->claimed.load(std::memory_order_relaxed);
+    });
     if (state.watch.empty()) {
       state.watch_cv.wait(lock);
       continue;
     }
-    const auto it = std::min_element(
-        state.watch.begin(), state.watch.end(),
-        [](const ServeState::Ticket& a, const ServeState::Ticket& b) {
-          return a.expiry < b.expiry;
-        });
-    if (it->expiry > std::chrono::steady_clock::now()) {
-      state.watch_cv.wait_until(lock, it->expiry);
+    const auto first = state.watch.begin();
+    if (first->first > Clock::now()) {
+      state.watch_cv.wait_until(lock, first->first);
       continue;
     }
-    ServeState::Ticket ticket = std::move(*it);
-    state.watch.erase(it);
+    const std::shared_ptr<Admitted> admitted = std::move(first->second);
+    state.watch.erase(first);
     lock.unlock();
-    if (!ticket.claimed->exchange(true)) {
-      state.results.push(format_error_result(
-          ticket.id, ticket.line, kJobDeadline,
-          "job " + ticket.id + ": deadline expired; result abandoned"));
-      state.errors.fetch_add(1, std::memory_order_relaxed);
-      state.abandoned.fetch_add(1, std::memory_order_relaxed);
+    if (!admitted->claimed.exchange(true)) {
+      const WireJob& job = admitted->job;
       state.sm.watchdog_fired.increment();
-      state.sm.jobs_abandoned.increment();
-      if (opts.log != nullptr) {
-        opts.log->event(
-            EventLog::Level::kWarn,
-            static_cast<std::int64_t>(ticket.line), "job_abandoned",
-            "\"id\":\"" + json_escape(ticket.id) +
-                "\",\"line\":" + std::to_string(ticket.line));
-      }
-      state.job_finished();
+      state.finish(
+          kAbandoned, job.id, job.line,
+          format_error_result(job.id, job.line, kJobDeadline,
+                              "job " + job.id +
+                                  ": deadline expired; result abandoned"),
+          "job_abandoned", "", admitted.get());
     }
     lock.lock();
   }
 }
 
-/// The per-job worker body: compile, digest, cache/single-flight,
-/// format, emit. Never throws. `claimed` (when the job has a watchdog
-/// ticket) gates emission: if the watchdog claimed the job first, the
-/// line is discarded -- but the computed outcome was already cached
-/// and journaled, so the work is not wasted.
-void run_job(ServeState& state, const WireJob& job,
-             std::chrono::steady_clock::time_point admitted,
-             const ServerOptions& opts,
-             const std::shared_ptr<std::atomic<bool>>& claimed) {
+/// The per-job worker body: compile, digest, claim the digest (hit,
+/// join or compute), format, finish. Never throws. If the watchdog
+/// claimed the job first, the line is discarded -- but a computed
+/// outcome was already cached and journaled, so the work is not wasted.
+void run_job(ServeState& state, Admitted& admitted) {
+  const WireJob& job = admitted.job;
+  const ServerOptions& opts = state.opts;
   // One enabled-check up front keeps the disabled hot path at a single
   // relaxed load for the whole function (elapsed_us and record() would
   // each pay their own otherwise).
   const bool telemetry = metrics::enabled();
-  if (telemetry) state.sm.queue_wait_us.record(elapsed_us(admitted));
+  if (telemetry) state.sm.queue_wait_us.record(elapsed_us(admitted.at));
   std::string line;
-  bool is_ok = false;
-  bool hit = false;
-  int result_code = kJobOk;
+  std::string error;
+  Tally outcome = kError;
+  int code = kJobOk;
   std::uint64_t digest = 0;
   bool have_digest = false;
   try {
-    Deadline deadline(job.deadline_ms != 0 ? job.deadline_ms
-                                           : opts.default_deadline_ms);
-    if (deadline.passed()) {
+    if (job.deadline_ms < 0) {
       throw WireError(kJobDeadline,
                       "job " + job.id + ": deadline expired before start");
     }
@@ -288,141 +288,72 @@ void run_job(ServeState& state, const WireJob& job,
     digest = job_digest(cj.compiled.graph, cj.topo, job.options);
     have_digest = true;
 
-    OutcomePtr outcome;
-    std::shared_future<OutcomePtr> wait_on;
-    std::promise<OutcomePtr> promise;
-    bool computing = false;
-    {
-      // Lookup and in-flight registration are one atomic step, so an
-      // identical job can never slip between "not cached yet" and
-      // "someone is computing it".
-      const std::lock_guard<std::mutex> lock(state.inflight_mutex);
-      outcome = state.cache->lookup(digest);
-      if (outcome != nullptr) {
-        hit = true;
-      } else {
-        const auto it = state.inflight.find(digest);
-        if (it != state.inflight.end()) {
-          wait_on = it->second;
-        } else {
-          state.inflight.emplace(digest,
-                                 std::shared_future<OutcomePtr>(
-                                     promise.get_future().share()));
-          computing = true;
-        }
-      }
-    }
-    if (computing) {
-      const auto compute_start = telemetry ? std::chrono::steady_clock::now()
-                                           : admitted;
-      outcome = compute_outcome(job, cj);
-      state.cache->insert(digest, outcome);
+    // Single-flight: exactly one worker computes each digest, so the
+    // hit/miss totals are schedule-independent.
+    const ResultCache::Claim claim = state.cache->claim(digest);
+    OutcomePtr outcome_ptr = claim.hit;
+    const bool hit = !claim.computes();
+    if (!hit) {
+      const auto compute_start = telemetry ? Clock::now() : admitted.at;
+      outcome_ptr = compute_outcome(job, cj);
+      state.cache->publish(digest, outcome_ptr);
       if (opts.journal != nullptr) {
         // Best-effort: a failed append degrades persistence, never
         // the job (the outcome lives on in memory).
-        (void)opts.journal->append(digest, *outcome);
-      }
-      promise.set_value(outcome);
-      {
-        const std::lock_guard<std::mutex> lock(state.inflight_mutex);
-        state.inflight.erase(digest);
+        (void)opts.journal->append(digest, *outcome_ptr);
       }
       if (telemetry) state.sm.compute_us.record(elapsed_us(compute_start));
-    } else if (!hit) {
-      outcome = wait_on.get();  // join the identical in-flight job
-      hit = true;
-      state.deduped.fetch_add(1, std::memory_order_relaxed);
-      state.sm.dedup_joins.increment();
+    } else if (outcome_ptr == nullptr) {
+      outcome_ptr = claim.join.get();  // the identical in-flight job's
+      state.count(kDedupJoin);
     }
-    if (hit) {
-      state.cache_hits.fetch_add(1, std::memory_order_relaxed);
-      state.sm.cache_hits.increment();
-    } else {
-      state.cache_misses.fetch_add(1, std::memory_order_relaxed);
-      state.sm.cache_misses.increment();
-    }
+    state.count(hit ? kCacheHit : kCacheMiss);
 
-    const double wall_ms =
-        opts.deterministic
-            ? 0.0
-            : std::chrono::duration<double, std::milli>(
-                  std::chrono::steady_clock::now() - admitted)
-                  .count();
-    if (outcome->ok) {
-      line = format_ok_result(job.id, digest, hit, *outcome, wall_ms);
-      is_ok = true;
+    const std::chrono::duration<double, std::milli> wall =
+        opts.deterministic ? Clock::duration{} : Clock::now() - admitted.at;
+    if (outcome_ptr->ok) {
+      line = format_ok_result(job.id, digest, hit, *outcome_ptr, wall.count());
+      outcome = hit ? kHit : kMiss;
     } else {
-      line = format_error_result(job.id, job.line, outcome->error_code,
-                                 outcome->error);
-      result_code = outcome->error_code;
+      code = outcome_ptr->error_code;
+      error = outcome_ptr->error;
     }
   } catch (const WireError& e) {
-    line = format_error_result(job.id, job.line, e.code(), e.what());
-    result_code = e.code();
+    code = e.code();
+    error = e.what();
   } catch (const std::exception& e) {
-    line = format_error_result(job.id, job.line, kJobInternal,
-                               "job " + job.id + ": internal error: " +
-                                   e.what());
-    result_code = kJobInternal;
+    code = kJobInternal;
+    error = "job " + job.id + ": internal error: " + e.what();
   }
-  if (claimed != nullptr && claimed->exchange(true)) {
+  if (outcome == kError) {
+    line = format_error_result(job.id, job.line, code, error);
+  }
+  if (admitted.claimed.exchange(true)) {
     return;  // the watchdog already emitted this job's code-6 line
   }
-  if (is_ok) {
-    state.ok.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    state.errors.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (telemetry) {
-    // Outcome partition (telemetry.hpp): tallied exactly where the
-    // job's single result line is emitted, so abandoned jobs (claimed
-    // above) never double-book.
-    const auto write_start = std::chrono::steady_clock::now();
-    if (!is_ok) {
-      state.sm.jobs_error.increment();
-      state.sm.wall_us_error.record(elapsed_us(admitted));
-    } else if (hit) {
-      state.sm.jobs_hit.increment();
-      state.sm.wall_us_hit.record(elapsed_us(admitted));
-    } else {
-      state.sm.jobs_miss.increment();
-      state.sm.wall_us_miss.record(elapsed_us(admitted));
-    }
-    state.results.push(std::move(line));
-    state.sm.write_us.record(elapsed_us(write_start));
-  } else {
-    state.results.push(std::move(line));
-  }
+  std::string detail;
   if (opts.log != nullptr) {
-    std::string fields = "\"id\":\"" + json_escape(job.id) +
-                         "\",\"line\":" + std::to_string(job.line);
-    if (is_ok) {
-      fields += ",\"status\":\"ok\",\"digest\":\"";
-      fields += digest_prefix(digest);
-      // The per-line hit/miss label of identical concurrent jobs is
-      // schedule-dependent; blank it in deterministic mode, exactly
-      // like the wire format's determinism contract.
-      fields += "\",\"cache\":\"";
-      fields += opts.deterministic ? "?" : (hit ? "hit" : "miss");
-      fields += "\"";
-    } else {
-      fields += ",\"status\":\"error\",\"code\":" +
-                std::to_string(result_code);
-      if (have_digest) {
-        fields += ",\"digest\":\"" + digest_prefix(digest) + "\"";
-      }
+    const bool ok = outcome != kError;
+    detail = ok ? ",\"status\":\"ok\""
+                : ",\"status\":\"error\",\"code\":" + std::to_string(code);
+    if (have_digest) {
+      detail += ",\"digest\":\"" + digest_prefix(digest) + "\"";
     }
-    opts.log->event(EventLog::Level::kInfo,
-                    static_cast<std::int64_t>(job.line), "job_completed",
-                    fields);
+    // The per-line hit/miss label of identical concurrent jobs is
+    // schedule-dependent: blank it in deterministic mode, as the wire
+    // format's determinism contract does.
+    const char* cache =
+        opts.deterministic ? "?" : (outcome == kHit ? "hit" : "miss");
+    if (ok) detail += std::string(",\"cache\":\"") + cache + "\"";
   }
-  state.job_finished();
+  state.finish(outcome, job.id, job.line, std::move(line), "job_completed",
+               detail, &admitted);
 }
 
 }  // namespace
 
-std::string ServerStats::to_json() const {
-  std::string out = "{\"lines\":" + std::to_string(lines);
+std::string ServerStats::json_fields() const {
+  std::string out = "\"lines\":" + std::to_string(lines);
   out += ",\"ok\":" + std::to_string(ok);
   out += ",\"errors\":" + std::to_string(errors);
   out += ",\"rejected\":" + std::to_string(rejected);
@@ -430,9 +361,10 @@ std::string ServerStats::to_json() const {
   out += ",\"cache_hits\":" + std::to_string(cache_hits);
   out += ",\"cache_misses\":" + std::to_string(cache_misses);
   out += ",\"cache_evictions\":" + std::to_string(cache_evictions);
-  out += "}";
   return out;
 }
+
+std::string ServerStats::to_json() const { return "{" + json_fields() + "}"; }
 
 ServerStats serve(std::istream& in, std::ostream& out,
                   const ServerOptions& options,
@@ -451,11 +383,12 @@ ServerStats serve(std::istream& in, std::ostream& out,
       out << *line << '\n' << std::flush;
     }
   });
-  std::thread watchdog([&state, &options] { run_watchdog(state, options); });
+  std::thread watchdog([&state] { run_watchdog(state); });
 
   {
-    // Pool scope: destroying the pool joins the workers, but drain is
-    // explicit below so the writer outlives every producer.
+    // Pool scope, the drain: destroying the pool runs every admitted job
+    // to its end, so each line is pushed (by its worker or the watchdog)
+    // before the watchdog and the writer stop below.
     ThreadPool pool(options.jobs, "oregami-srv");
     const int capacity = options.queue_capacity > 0 ? options.queue_capacity
                                                     : 1;
@@ -475,17 +408,11 @@ ServerStats serve(std::istream& in, std::ostream& out,
       try {
         job = parse_job(raw, line_number);
       } catch (const WireError& e) {
-        state.results.push(
-            format_error_result("", line_number, e.code(), e.what()));
-        ++stats.errors;
-        state.sm.jobs_error.increment();
-        if (options.log != nullptr) {
-          options.log->event(EventLog::Level::kInfo,
-                             static_cast<std::int64_t>(line_number),
-                             "parse_error",
-                             "\"line\":" + std::to_string(line_number) +
-                                 ",\"code\":" + std::to_string(e.code()));
-        }
+        state.finish(kError, e.id(), line_number,
+                     format_error_result(e.id(), line_number, e.code(),
+                                         e.what()),
+                     "parse_error", ",\"code\":" + std::to_string(e.code()),
+                     nullptr);
         continue;
       }
 
@@ -504,64 +431,45 @@ ServerStats serve(std::istream& in, std::ostream& out,
         // (~5 ms of drain headroom per pending job), so a replayed
         // stream rejects with identical hints.
         const std::int64_t retry_after_ms = 5 * (depth > 0 ? depth : 1);
-        state.results.push(format_error_result(
-            job.id, job.line, kJobRejected,
-            "job " + job.id + ": rejected: queue full (" +
-                std::to_string(depth) + " jobs pending, capacity " +
-                std::to_string(capacity) + ")",
-            retry_after_ms));
-        ++stats.rejected;
-        ++stats.errors;
-        state.sm.jobs_rejected.increment();
-        if (options.log != nullptr) {
-          options.log->event(EventLog::Level::kInfo,
-                             static_cast<std::int64_t>(job.line),
-                             "job_rejected",
-                             "\"id\":\"" + json_escape(job.id) +
-                                 "\",\"line\":" + std::to_string(job.line));
-        }
+        state.finish(
+            kRejected, job.id, job.line,
+            format_error_result(job.id, job.line, kJobRejected,
+                                "job " + job.id + ": rejected: queue full (" +
+                                    std::to_string(depth) +
+                                    " jobs pending, capacity " +
+                                    std::to_string(capacity) + ")",
+                                retry_after_ms),
+            "job_rejected", "", nullptr);
         continue;
       }
 
-      {
-        const std::lock_guard<std::mutex> lock(state.done_mutex);
-        ++state.outstanding;
-      }
       state.sm.inflight_jobs.add(1);
       if (options.log != nullptr) {
         options.log->event(EventLog::Level::kDebug,
                            static_cast<std::int64_t>(job.line),
-                           "job_admitted",
-                           "\"id\":\"" + json_escape(job.id) +
-                               "\",\"line\":" + std::to_string(job.line));
+                           "job_admitted", id_line_fields(job.id, job.line));
       }
-      const auto admitted = std::chrono::steady_clock::now();
-      // Jobs with a real (positive) deadline get a watchdog ticket so
-      // a stuck worker cannot stall the stream past its deadline.
-      const std::int64_t deadline_ms =
-          job.deadline_ms != 0 ? job.deadline_ms
-                               : options.default_deadline_ms;
-      std::shared_ptr<std::atomic<bool>> claimed;
+      // The effective deadline, resolved once: the watchdog ticket and
+      // the worker's expired-before-start check both read it.
+      const std::int64_t deadline_ms = job.deadline_ms != 0
+                                           ? job.deadline_ms
+                                           : options.default_deadline_ms;
+      job.deadline_ms = deadline_ms;
+      const auto admitted =
+          std::make_shared<Admitted>(std::move(job), Clock::now());
+      // A real (positive) deadline gets a watchdog ticket, so a stuck
+      // worker cannot stall the stream past it.
       if (deadline_ms > 0) {
-        claimed = std::make_shared<std::atomic<bool>>(false);
         {
           const std::lock_guard<std::mutex> lock(state.watch_mutex);
-          state.watch.push_back(ServeState::Ticket{
-              job.id, job.line,
-              admitted + std::chrono::milliseconds(deadline_ms), claimed});
+          state.watch.emplace(
+              admitted->at + std::chrono::milliseconds(deadline_ms),
+              admitted);
         }
         state.watch_cv.notify_all();
       }
-      auto future = pool.submit([&state, job = std::move(job), admitted,
-                                 &options, claimed]() mutable {
-        run_job(state, job, admitted, options, claimed);
-      });
-      (void)future;  // completion is tracked via ServeState::outstanding
+      (void)pool.submit([&state, admitted] { run_job(state, *admitted); });
     }
-
-    // Drain: every admitted job emits its line before the pool dies.
-    std::unique_lock<std::mutex> lock(state.done_mutex);
-    state.all_done.wait(lock, [&state] { return state.outstanding == 0; });
   }
 
   {
@@ -573,12 +481,15 @@ ServerStats serve(std::istream& in, std::ostream& out,
   state.results.close();
   writer.join();
 
-  stats.ok = state.ok.load();
-  stats.errors += state.errors.load();
-  stats.abandoned = state.abandoned.load();
-  stats.cache_hits = state.cache_hits.load();
-  stats.cache_misses = state.cache_misses.load();
-  stats.deduped = state.deduped.load();
+  const auto& tally = state.tally;
+  stats.ok = tally[kHit] + tally[kMiss];
+  stats.rejected = tally[kRejected];
+  stats.abandoned = tally[kAbandoned];
+  stats.errors = tally[kError] + stats.rejected +
+                 stats.abandoned;
+  stats.cache_hits = tally[kCacheHit];
+  stats.cache_misses = tally[kCacheMiss];
+  stats.deduped = tally[kDedupJoin];
   const ResultCache::Stats cache_after = state.cache->stats();
   stats.cache_evictions = cache_after.evictions - cache_before.evictions;
   trace::counter("server/cache_hits", stats.cache_hits);

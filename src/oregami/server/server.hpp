@@ -4,10 +4,17 @@
 // repeated requests from a content-addressed ResultCache, and emits
 // one JSON result line per job in completion order.
 //
+// One job lifecycle (DESIGN.md §17): admission resolves the effective
+// deadline once; ResultCache::claim() alone decides hit, join or
+// compute; and every path (parse error, rejection, watchdog, worker)
+// ends in one finish step that emits the job's single line, counts its
+// outcome once in ServerStats and the registry, and logs it.
+//
 // Contracts:
 //   * the daemon never dies on a job: malformed lines, unknown inputs,
 //     infeasible mappings, expired deadlines and a full queue all
-//     produce structured per-job error lines (wire.hpp codes);
+//     produce structured per-job error lines (wire.hpp codes) that echo
+//     the job's id once it was read;
 //   * admission control: when `queue_capacity` jobs are already
 //     submitted-but-unfinished (ThreadPool::pending()), new jobs are
 //     rejected immediately with code 5 -- bounded memory, bounded tail;
@@ -15,10 +22,10 @@
 //     *content* is deterministic: stripped of the volatile wall_ms
 //     field and sorted by id, a result stream is byte-identical across
 //     runs, worker counts, and arrival interleavings (cache hit/miss
-//     *totals* are deterministic too, via single-flight deduplication
-//     of concurrent identical jobs; the per-line hit/miss label of
-//     *identical concurrent* jobs is the one schedule-dependent bit);
-//   * a watchdog abandons jobs that outrun their Deadline: the code-6
+//     *totals* are deterministic too, via the cache's single flight;
+//     the per-line hit/miss label of *identical concurrent* jobs is
+//     the one schedule-dependent bit);
+//   * a watchdog abandons jobs that outrun their deadline: the code-6
 //     line is emitted at expiry and the daemon keeps draining while
 //     the stuck worker finishes (its result line is discarded, its
 //     computed outcome is still cached);
@@ -47,7 +54,8 @@ struct ServerOptions {
   std::size_t cache_capacity = 1024;  ///< resident result entries
   int cache_shards = 8;
   /// Applied to jobs that do not carry their own "deadline_ms".
-  /// 0 = none; negative = already expired (deterministic, for tests).
+  /// 0 = none; negative = already expired (deterministic, for tests);
+  /// at most kMaxDeadlineMs (oregami_serve --deadline).
   std::int64_t default_deadline_ms = 0;
   /// Print wall_ms as 0.000 so the full result stream is byte-stable
   /// (used by the determinism tests and CI diffs).
@@ -90,9 +98,12 @@ struct ServerStats {
   /// registry marks its series Volatile.
   std::int64_t deduped = 0;
 
-  /// One-line JSON rendering (the daemon's exit summary on stderr).
-  /// Field set is frozen (scripts grep it); the extended `stats{...}`
-  /// line lives in telemetry.hpp.
+  /// The eight fields above but `deduped`, as `"lines":N,...` without
+  /// braces: the one field list of both stats renderings.
+  [[nodiscard]] std::string json_fields() const;
+  /// One-line JSON rendering (the daemon's exit summary on stderr):
+  /// `{` + json_fields() + `}`. Field set is frozen (scripts grep it);
+  /// the extended `stats{...}` line lives in telemetry.hpp.
   [[nodiscard]] std::string to_json() const;
 };
 

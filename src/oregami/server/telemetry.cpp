@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "oregami/server/server.hpp"
+#include "oregami/support/hash.hpp"
 
 namespace oregami::server {
 
@@ -52,10 +53,7 @@ std::int64_t elapsed_us(std::chrono::steady_clock::time_point start) {
 }
 
 std::string digest_prefix(std::uint64_t digest) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(digest));
-  return std::string(buf, 8);
+  return digest_hex(digest).substr(0, 8);
 }
 
 // --- EventLog ---------------------------------------------------------
@@ -149,18 +147,9 @@ void EventLog::close() {
 
 std::string render_stats_line(const ServerStats& stats,
                               std::int64_t uptime_ms) {
-  std::string out = "stats{\"lines\":" + std::to_string(stats.lines);
-  out += ",\"ok\":" + std::to_string(stats.ok);
-  out += ",\"errors\":" + std::to_string(stats.errors);
-  out += ",\"rejected\":" + std::to_string(stats.rejected);
-  out += ",\"abandoned\":" + std::to_string(stats.abandoned);
-  out += ",\"cache_hits\":" + std::to_string(stats.cache_hits);
-  out += ",\"cache_misses\":" + std::to_string(stats.cache_misses);
-  out += ",\"cache_evictions\":" + std::to_string(stats.cache_evictions);
-  out += ",\"deduped\":" + std::to_string(stats.deduped);
-  out += ",\"uptime_ms\":" + std::to_string(uptime_ms);
-  out += "}";
-  return out;
+  return "stats{" + stats.json_fields() +
+         ",\"deduped\":" + std::to_string(stats.deduped) +
+         ",\"uptime_ms\":" + std::to_string(uptime_ms) + "}";
 }
 
 }  // namespace oregami::server

@@ -13,10 +13,10 @@
 // `oregami_server_jobs_submitted_total` lands in exactly one outcome of
 // `oregami_server_jobs_total{outcome=...}`:
 //     hit + miss + error + rejected + abandoned == submitted
-// Outcomes are tallied where the job's single result line is decided
-// (worker emission, watchdog claim, admission rejection, parse error),
-// NOT at cache-lookup time -- a watchdog-abandoned job still touches
-// the cache counters but contributes only `abandoned` to the identity.
+// Outcomes are tallied by the serve loop's one finish step, where the
+// job's single result line is emitted, NOT when the worker claims its
+// digest -- a watchdog-abandoned job still touches the cache counters
+// but contributes only `abandoned` to the identity.
 
 #include <chrono>
 #include <cstdint>
@@ -41,7 +41,8 @@ struct ServerMetrics {
   metrics::Counter& jobs_error;
   metrics::Counter& jobs_rejected;
   metrics::Counter& jobs_abandoned;
-  // Cache traffic, counted at lookup time (matches ServerStats).
+  // Cache traffic, counted when a worker claims its digest (matches
+  // ServerStats).
   metrics::Counter& cache_hits;
   metrics::Counter& cache_misses;
   metrics::Counter& cache_evictions;

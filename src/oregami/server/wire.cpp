@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -95,16 +96,12 @@ class JsonParser {
     ++pos_;
   }
 
-  bool consume_keyword(const char* kw) {
-    std::size_t n = 0;
-    while (kw[n] != '\0') {
-      ++n;
+  bool consume_keyword(std::string_view kw) {
+    if (text_.compare(pos_, kw.size(), kw) != 0) {
+      return false;
     }
-    if (text_.compare(pos_, n, kw) == 0) {
-      pos_ += n;
-      return true;
-    }
-    return false;
+    pos_ += kw.size();
+    return true;
   }
 
   JsonValue value() {
@@ -293,9 +290,10 @@ class JsonParser {
 /// Context threaded through validation so every message names the job.
 struct JobContext {
   std::string prefix;  ///< "job 7: " (or "line 3: " before id is known)
+  std::string id;      ///< the job's id once read, for the error line
 
   [[noreturn]] void fail(int code, const std::string& what) const {
-    throw WireError(code, prefix + what);
+    throw WireError(code, prefix + what, id);
   }
 };
 
@@ -443,6 +441,7 @@ WireJob parse_job(const std::string& json_line, std::size_t line_number) {
   }
   job.id = render_id(ctx, *id);
   ctx.prefix = "job " + job.id + ": ";
+  ctx.id = job.id;
 
   for (const auto& [key, v] : root.object) {
     if (key == "id") {
@@ -467,6 +466,11 @@ WireJob parse_job(const std::string& json_line, std::size_t line_number) {
       apply_options(ctx, v, job);
     } else if (key == "deadline_ms") {
       job.deadline_ms = expect_integer(ctx, v, "deadline_ms");
+      if (job.deadline_ms > kMaxDeadlineMs) {
+        ctx.fail(kJobMalformed, "field \"deadline_ms\" must be <= " +
+                                    std::to_string(kMaxDeadlineMs) +
+                                    " (2^40 ms)");
+      }
     } else {
       ctx.fail(kJobMalformed,
                "unknown field \"" + key +

@@ -11,6 +11,7 @@
 //    "options": {"portfolio": 8,    // optional mapper options
 //                "anneal": 2, "heft": true, "budget_ms": 0},
 //    "deadline_ms": 50}             // optional per-job deadline
+//                                   //   (<= 2^40 ms; < 0 = expired)
 //
 // The option keys, their kinds and their CLI flags are the mapper
 // option table (mapper_options() in mapper/driver.hpp); the rules are
@@ -19,7 +20,7 @@
 // multilevel (0 off, -1 auto, 1..64) excludes portfolio. budget_ms, like
 // the CLI's --time-budget, bounds the portfolio search and the
 // multilevel refinement alike (0 = none, < 0 = already expired: the
-// portfolio runs only its Fig-3 candidate).
+// portfolio runs only its Fig-3 candidate, <= 2^40 ms).
 //
 // Result line, success:
 //   {"id":"7","status":"ok","digest":"<16 hex>","cache":"hit|miss",
@@ -43,6 +44,7 @@
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "oregami/mapper/driver.hpp"
 #include "oregami/server/result_cache.hpp"
@@ -59,16 +61,18 @@ inline constexpr int kJobRejected = 5;
 inline constexpr int kJobDeadline = 6;
 
 /// A structured per-job failure; the server converts it to an error
-/// result line instead of ever letting it escape.
+/// result line, echoing `id` (empty until the line yielded one).
 class WireError : public std::runtime_error {
  public:
-  WireError(int code, const std::string& message)
-      : std::runtime_error(message), code_(code) {}
+  WireError(int code, const std::string& message, std::string id = {})
+      : std::runtime_error(message), code_(code), id_(std::move(id)) {}
 
   [[nodiscard]] int code() const noexcept { return code_; }
+  [[nodiscard]] const std::string& id() const noexcept { return id_; }
 
  private:
   int code_;
+  std::string id_;
 };
 
 /// One parsed job request (inputs still textual; the server compiles
@@ -100,8 +104,8 @@ struct WireJob {
                                            const CachedOutcome& outcome,
                                            double wall_ms);
 
-/// Renders an error result line (no trailing newline). `id` may be
-/// empty when the line never parsed far enough to yield one.
+/// Renders an error result line (no trailing newline). `id` is empty
+/// (rendered null) when the line never parsed far enough to yield one.
 /// `retry_after_ms` >= 0 adds a "retry_after_ms" backoff hint (emitted
 /// by code-5 rejections, derived deterministically from queue depth);
 /// the default -1 omits the field.

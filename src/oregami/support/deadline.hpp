@@ -13,6 +13,10 @@
 
 namespace oregami {
 
+/// The largest budget every front end accepts (2^40 ms, about 35 years),
+/// so converting one to steady_clock nanoseconds never overflows.
+inline constexpr std::int64_t kMaxDeadlineMs = std::int64_t{1} << 40;
+
 class Deadline {
  public:
   explicit Deadline(std::int64_t budget_ms) {

@@ -48,6 +48,10 @@ expect_exit(2 --program jacobi --bind n=8 --bind iters=10
             --topology mesh:4x4 --fault-seed x)
 expect_exit(2 --program jacobi --bind n=8 --bind iters=10
             --topology mesh:4x4 --portfolio 2 --jobs 257)
+# ...and a time budget over the 2^40 ms cap, which would overflow the
+# deadline's nanosecond clock.
+expect_exit(2 --program jacobi --bind n=8 --bind iters=10
+            --topology mesh:4x4 --portfolio 2 --time-budget 9000000000000000)
 
 # 0: --multilevel takes its level cap only when the next token is an
 # integer, so a flag right after it stays a flag.

@@ -54,6 +54,17 @@ TEST(Driver, CheckMapperOptionsNamesTheBrokenRuleWithThePrefix) {
             "--anneal must be <= 256");
   EXPECT_EQ(check([](MapperOptions& o) { o.jobs = kMaxJobs + 1; }),
             "--jobs must be <= 256");
+  // The time budget is capped at 2^40 ms and named by its CLI flag.
+  EXPECT_EQ(check([](MapperOptions& o) { o.time_budget_ms = kMaxDeadlineMs; }),
+            "");
+  EXPECT_EQ(check([](MapperOptions& o) {
+              o.time_budget_ms = 9'000'000'000'000'000;
+            }),
+            "--time-budget must be <= 1099511627776 (2^40 ms)");
+  MapperOptions over;
+  over.time_budget_ms = kMaxDeadlineMs + 1;
+  EXPECT_EQ(check_mapper_options(over, "options."),
+            "options.budget_ms must be <= 1099511627776 (2^40 ms)");
   EXPECT_EQ(check([](MapperOptions& o) { o.multilevel = -2; }),
             "--multilevel must be 0 (off), -1 (auto depth) or 1..64 "
             "(level cap)");

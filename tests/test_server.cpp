@@ -143,10 +143,37 @@ TEST(WireParse, RejectsBadJobsWithQuotableMessages) {
             "}",
         kJobMalformed, message);
   }
-  // Every parse error names the job once an id is known.
+  // Deadlines and budgets are capped at 2^40 ms (Deadline converts them
+  // to nanoseconds); the cap itself is accepted.
+  for (const auto& [open, close] :
+       std::vector<std::pair<std::string, std::string>>{
+           {R"("deadline_ms":)", "}"}, {R"("options":{"budget_ms":)", "}}"}}) {
+    const std::string job =
+        R"({"id":1,"program":"x","topology":"ring:2",)" + open;
+    expect_parse_error(job + "9000000000000000" + close, kJobMalformed,
+                       "must be <= 1099511627776 (2^40 ms)");
+    EXPECT_NO_THROW(
+        (void)parse_job(job + std::to_string(kMaxDeadlineMs) + close, 1));
+  }
+  // Every parse error names the job once an id is known, and carries
+  // the id for the error line; before that the id is empty.
   expect_parse_error(
       R"({"id":7,"program":"x","topology":"ring:2","frob":1})",
       kJobMalformed, "job 7:");
+  using Case = std::pair<std::string, std::string>;
+  for (const auto& [line, id] : std::vector<Case>{
+           {R"({"id":7,"program":"x","topology":"ring:2","frob":1})", "7"},
+           {R"({"id":"a","topology":"ring:2","options":{"anneal":1}})", "a"},
+           {R"({"program":"x","topology":"ring:2"})", ""},
+           {R"({"id":1.5,"program":"x","topology":"ring:2"})", ""},
+           {"not json", ""}}) {
+    try {
+      (void)parse_job(line, 3);
+      ADD_FAILURE() << "expected WireError for: " << line;
+    } catch (const WireError& e) {
+      EXPECT_EQ(e.id(), id) << line;
+    }
+  }
 }
 
 TEST(WireParse, BenchmarkOptionSpellingsKeepTheirCacheKeys) {
@@ -391,6 +418,33 @@ TEST(Serve, ErrorLinesCarryTheContractCodes) {
   expect_contains(text, "\"code\":2");  // malformed line
   expect_contains(text, "\"code\":6");  // expired deadline
   expect_contains(text, "deadline expired");
+}
+
+TEST(Serve, OptionErrorsEchoTheJobIdAndUnreadableIdsStayNull) {
+  const std::string stream =
+      "{\"id\":903,\"program\":\"jacobi\",\"topology\":\"mesh:4x4\","
+      "\"options\":{\"anneal\":1}}\n"
+      "{\"id\":904,\"program\":\"jacobi\",\"topology\":\"mesh:4x4\","
+      "\"deadline_ms\":9000000000000000}\n"
+      "{\"program\":\"jacobi\",\"topology\":\"mesh:4x4\"}\n"
+      "garbage\n";
+  std::istringstream in(stream);
+  std::ostringstream out;
+  const ServerStats stats = serve(in, out, deterministic_options(1));
+  EXPECT_EQ(stats.errors, 4);
+  std::vector<std::string> lines = split_lines(out.str());
+  std::sort(lines.begin(), lines.end());
+  ASSERT_EQ(lines.size(), 4u);
+  EXPECT_EQ(lines[0],
+            "{\"id\":\"903\",\"line\":1,\"status\":\"error\",\"code\":2,"
+            "\"error\":\"job 903: options.anneal requires options.portfolio "
+            "> 0\"}");
+  EXPECT_EQ(lines[1],
+            "{\"id\":\"904\",\"line\":2,\"status\":\"error\",\"code\":2,"
+            "\"error\":\"job 904: field \\\"deadline_ms\\\" must be <= "
+            "1099511627776 (2^40 ms)\"}");
+  expect_contains(lines[2], "{\"id\":null,\"line\":3,");
+  expect_contains(lines[3], "{\"id\":null,\"line\":4,");
 }
 
 TEST(Serve, TopologyOutsideItsFamilysDomainIsBadInputNotACrash) {

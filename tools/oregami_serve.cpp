@@ -114,7 +114,7 @@ constexpr oregami::cli::Flag<Args> kFlags[] = {
     {"--deadline", Arg::Int, "MS",
      "default per-job deadline; jobs may override (0 = none)",
      store<&Args::server, &ServerOptions::default_deadline_ms>, -1,
-     1LL << 40},
+     oregami::kMaxDeadlineMs},
     {"--deterministic", Arg::None, "", "print wall_ms as 0.000 (byte-stable)",
      store<&Args::server, &ServerOptions::deterministic>},
     {"--cache-file", Arg::String, "PATH", "recover on boot, journal outcomes",
