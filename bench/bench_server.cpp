@@ -7,6 +7,7 @@
 // series into BENCH_server.json, then runs the google-benchmark
 // micro timings (digest, cache lookup, one-job serve).
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <chrono>
@@ -67,6 +68,7 @@ std::string replay_stream(int total) {
 
 struct ReplayResult {
   double wall_s = 0.0;
+  double cpu_s = 0.0;  ///< process CPU (user + system) over the replay
   double mappings_per_sec = 0.0;
   double p50_ms = 0.0;
   double p99_ms = 0.0;
@@ -83,8 +85,21 @@ double percentile(std::vector<double> values, double p) {
   return values[std::min(idx, values.size() - 1)];
 }
 
+/// User + system CPU seconds of the whole process so far: unlike wall
+/// time, host steal cannot inflate it.
+double process_cpu_s() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  const auto seconds = [](const timeval& t) {
+    return static_cast<double>(t.tv_sec) +
+           static_cast<double>(t.tv_usec) * 1e-6;
+  };
+  return seconds(usage.ru_utime) + seconds(usage.ru_stime);
+}
+
 /// Runs the stream through serve() against `cache`, collecting wall
-/// time and per-job latency (the wall_ms field of every result line).
+/// time, process CPU time and per-job latency (the wall_ms field of
+/// every result line).
 ReplayResult replay(const std::string& stream, server::ResultCache& cache,
                     int jobs) {
   server::ServerOptions options;
@@ -94,8 +109,10 @@ ReplayResult replay(const std::string& stream, server::ResultCache& cache,
   std::istringstream in(stream);
   std::ostringstream out;
   const auto start = std::chrono::steady_clock::now();
+  const double cpu_start = process_cpu_s();
   ReplayResult r;
   r.stats = server::serve(in, out, options);
+  r.cpu_s = process_cpu_s() - cpu_start;
   r.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                            start)
                  .count();
@@ -152,6 +169,13 @@ void print_figures_and_json() {
                              ? warm.mappings_per_sec / cold.mappings_per_sec
                              : 0.0;
   std::printf("warm/cold throughput: %.1fx\n", speedup);
+  // Every warm job is a hit (bench-smoke asserts it), so this is the
+  // CPU one hit costs, front key lookup included.
+  const double warm_cpu_us_per_hit =
+      warm.stats.cache_hits > 0
+          ? warm.cpu_s * 1e6 / static_cast<double>(warm.stats.cache_hits)
+          : 0.0;
+  std::printf("warm CPU per hit: %.1f us\n", warm_cpu_us_per_hit);
 
   bench::JsonReport json("BENCH_server.json");
   json.load();
@@ -162,6 +186,7 @@ void print_figures_and_json() {
   json.add("server_warm_p50_ms", warm.p50_ms, "ms");
   json.add("server_warm_p99_ms", warm.p99_ms, "ms");
   json.add("server_warm_speedup", speedup, "x");
+  json.add("server_warm_cpu_us_per_hit", warm_cpu_us_per_hit, "us");
   json.add_counter("server_replay_jobs", kTotalJobs);
   json.add_counter("server_replay_unique", unique);
   json.add_counter("server_cold_cache_misses", cold.stats.cache_misses);

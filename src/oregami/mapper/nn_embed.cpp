@@ -68,12 +68,19 @@ Embedding nn_embed_impl(const Graph& cluster_graph, const Topology& topo,
   std::vector<bool> proc_used(static_cast<std::size_t>(p), false);
   std::vector<bool> placed(static_cast<std::size_t>(c), false);
   int placed_count = 0;
+  // Each cluster's communication weight to the placed set, kept as
+  // clusters are placed (the adjacency is symmetric), so choosing the
+  // next cluster never rescans an adjacency list.
+  std::vector<std::int64_t> weight_to_placed(static_cast<std::size_t>(c), 0);
 
   auto place = [&](int cluster, int proc) {
     embedding.proc_of_cluster[static_cast<std::size_t>(cluster)] = proc;
     proc_used[static_cast<std::size_t>(proc)] = true;
     placed[static_cast<std::size_t>(cluster)] = true;
     ++placed_count;
+    for (const auto& a : cluster_graph.neighbors(cluster)) {
+      weight_to_placed[static_cast<std::size_t>(a.neighbor)] += a.weight;
+    }
   };
 
   // Seed: heaviest cluster edge onto a max-degree link.
@@ -120,7 +127,6 @@ Embedding nn_embed_impl(const Graph& cluster_graph, const Topology& topo,
     place(e.v, seed_v);
   }
 
-  std::vector<std::int64_t> weight_to_placed(static_cast<std::size_t>(c));
   std::vector<std::pair<int, std::int64_t>> placed_neighbors;
   while (placed_count < c) {
     // Next cluster: max communication to the placed set.
@@ -130,13 +136,7 @@ Embedding nn_embed_impl(const Graph& cluster_graph, const Topology& topo,
       if (placed[static_cast<std::size_t>(cl)]) {
         continue;
       }
-      std::int64_t w = 0;
-      for (const auto& a : cluster_graph.neighbors(cl)) {
-        if (placed[static_cast<std::size_t>(a.neighbor)]) {
-          w += a.weight;
-        }
-      }
-      weight_to_placed[static_cast<std::size_t>(cl)] = w;
+      const std::int64_t w = weight_to_placed[static_cast<std::size_t>(cl)];
       next_pick.offer(cl, w > next_weight, w == next_weight);
       next_weight =
           weight_to_placed[static_cast<std::size_t>(next_pick.chosen())];

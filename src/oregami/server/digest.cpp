@@ -69,7 +69,8 @@ void fold_topology(Fnv1a& h, const Topology& topo) {
   }
 }
 
-void fold_options(Fnv1a& h, const MapperOptions& options) {
+template <class Sink>
+void fold_options(CanonicalFold<Sink>& h, const MapperOptions& options) {
   h.boolean(options.allow_canned);
   h.boolean(options.allow_group);
   h.boolean(options.allow_systolic);
@@ -93,6 +94,10 @@ void fold_options(Fnv1a& h, const MapperOptions& options) {
   }
 }
 
+template void fold_options(CanonicalFold<Fnv1a>&, const MapperOptions&);
+template void fold_options(CanonicalFold<CanonicalBytes>&,
+                           const MapperOptions&);
+
 std::uint64_t job_digest(const TaskGraph& graph, const Topology& topo,
                          const MapperOptions& options) {
   Fnv1a h;
@@ -101,6 +106,25 @@ std::uint64_t job_digest(const TaskGraph& graph, const Topology& topo,
   fold_topology(h, topo);
   fold_options(h, options);
   return h.digest();
+}
+
+std::string front_key(const WireJob& job) {
+  if (!job.program_file.empty()) {
+    return {};
+  }
+  CanonicalBytes key;
+  // The tag keeps a program name apart from inline source that happens
+  // to spell the same bytes.
+  key.boolean(job.program.empty());
+  key.str(job.program.empty() ? job.larcs : job.program);
+  key.u64(job.bindings.size());
+  for (const auto& [name, value] : job.bindings) {  // std::map: name order
+    key.str(name);
+    key.i64(value);
+  }
+  key.str(job.topology);
+  fold_options(key, job.options);
+  return key.take();
 }
 
 }  // namespace oregami::server

@@ -22,13 +22,20 @@
 //     folds its FaultSpec string.
 //   * kDigestVersion is folded first, so changing any rule above can
 //     never alias an old cache entry.
+//
+// The front key (DESIGN.md §18) addresses the same job by its *wire*
+// spelling instead -- the bytes a request names before anything is
+// compiled -- so a repeated request can find its digest without
+// running the compiler.
 #pragma once
 
 #include <cstdint>
+#include <string>
 
 #include "oregami/arch/topology.hpp"
 #include "oregami/core/task_graph.hpp"
 #include "oregami/mapper/driver.hpp"
+#include "oregami/server/wire.hpp"
 #include "oregami/support/hash.hpp"
 
 namespace oregami::server {
@@ -39,12 +46,22 @@ void fold_task_graph(Fnv1a& h, const TaskGraph& graph);
 /// Folds the topology structurally into `h`.
 void fold_topology(Fnv1a& h, const Topology& topo);
 
-/// Folds the result-affecting subset of MapperOptions into `h`.
-void fold_options(Fnv1a& h, const MapperOptions& options);
+/// Folds the result-affecting subset of MapperOptions into `h`: the
+/// digest's Fnv1a, or the front key's CanonicalBytes.
+template <class Sink>
+void fold_options(CanonicalFold<Sink>& h, const MapperOptions& options);
 
 /// The canonical job digest: version + graph + topology + options.
 [[nodiscard]] std::uint64_t job_digest(const TaskGraph& graph,
                                        const Topology& topo,
                                        const MapperOptions& options);
+
+/// The front key of a parsed request: the canonical bytes of what it
+/// names -- program name or inline source (tagged apart), bindings in
+/// name order, the topology spec as written, and the fold_options
+/// fields. `id`, `deadline_ms` and `options.jobs` are left out. Empty
+/// for a `program_file` job: the file may change between requests, so
+/// such a job is never keyed.
+[[nodiscard]] std::string front_key(const WireJob& job);
 
 }  // namespace oregami::server

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "oregami/server/telemetry.hpp"
+#include "oregami/support/hash.hpp"
 
 namespace oregami::server {
 
@@ -24,6 +25,12 @@ ResultCache::Shard& ResultCache::shard_of(std::uint64_t digest) const {
   const std::size_t index =
       static_cast<std::size_t>(digest >> 48) % shards_.size();
   return *shards_[index];
+}
+
+ResultCache::Shard& ResultCache::front_shard_of(std::string_view key) const {
+  Fnv1a h;
+  h.bytes(key.data(), key.size());
+  return shard_of(h.digest());
 }
 
 OutcomePtr ResultCache::find_locked(Shard& shard, std::uint64_t digest) {
@@ -94,6 +101,34 @@ void ResultCache::insert(std::uint64_t digest, OutcomePtr outcome) {
   }
 }
 
+std::optional<std::uint64_t> ResultCache::front_lookup(std::string_view key) {
+  Shard& shard = front_shard_of(key);
+  const std::lock_guard<std::mutex> lock(shard.mutex);
+  const auto it = shard.front.find(key);
+  if (it == shard.front.end()) {
+    return std::nullopt;
+  }
+  shard.front_lru.splice(shard.front_lru.begin(), shard.front_lru, it->second);
+  return it->second->second;
+}
+
+void ResultCache::front_record(std::string key, std::uint64_t digest) {
+  Shard& shard = front_shard_of(key);
+  const std::lock_guard<std::mutex> lock(shard.mutex);
+  if (const auto it = shard.front.find(key); it != shard.front.end()) {
+    it->second->second = digest;
+    shard.front_lru.splice(shard.front_lru.begin(), shard.front_lru,
+                           it->second);
+    return;
+  }
+  shard.front_lru.emplace_front(std::move(key), digest);
+  shard.front.emplace(shard.front_lru.front().first, shard.front_lru.begin());
+  if (shard.front.size() > per_shard_capacity_) {
+    shard.front.erase(shard.front_lru.back().first);
+    shard.front_lru.pop_back();
+  }
+}
+
 bool ResultCache::contains(std::uint64_t digest) const {
   const Shard& shard = shard_of(digest);
   const std::lock_guard<std::mutex> lock(shard.mutex);
@@ -120,6 +155,7 @@ ResultCache::Stats ResultCache::stats() const {
   for (const auto& shard : shards_) {
     const std::lock_guard<std::mutex> lock(shard->mutex);
     s.size += static_cast<std::int64_t>(shard->map.size());
+    s.front_size += static_cast<std::int64_t>(shard->front.size());
   }
   return s;
 }

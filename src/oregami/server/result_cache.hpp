@@ -16,7 +16,11 @@
 //   * single-flight: claim() decides hit, join or compute under the
 //     shard lock, so exactly one caller computes each digest and
 //     identical concurrent callers join its future; hit/miss tallies
-//     are the caller's (the server keeps its own).
+//     are the caller's (the server keeps its own);
+//   * front keys (DESIGN.md §18): each shard also maps request bytes to
+//     the digest they compiled to, under the same per-shard bound and
+//     LRU rule as the entries, so a repeated request skips compile.
+//     Keys are compared in full; the table is never journaled.
 #pragma once
 
 #include <atomic>
@@ -25,7 +29,9 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -57,6 +63,7 @@ class ResultCache {
   struct Stats {
     std::int64_t evictions = 0;
     std::int64_t size = 0;  ///< current resident entries
+    std::int64_t front_size = 0;  ///< current front keys
   };
 
   /// What claim() decided for a digest: a resident `hit`, a `join` onto
@@ -91,6 +98,15 @@ class ResultCache {
   /// call it exactly once per such claim.
   void publish(std::uint64_t digest, OutcomePtr outcome);
 
+  /// The digest recorded for front key `key` (its bytes compared in
+  /// full), refreshing its LRU position; nullopt when absent.
+  [[nodiscard]] std::optional<std::uint64_t> front_lookup(
+      std::string_view key);
+
+  /// Records front key `key` -> `digest`; evicts the shard's least
+  /// recently used front key when the shard is over its bound.
+  void front_record(std::string key, std::uint64_t digest);
+
   /// True when `digest` is resident (no LRU refresh, no counter).
   [[nodiscard]] bool contains(std::uint64_t digest) const;
 
@@ -123,11 +139,18 @@ class ResultCache {
       std::shared_future<OutcomePtr> future = promise.get_future().share();
     };
     std::unordered_map<std::uint64_t, Flight> inflight;
+    /// Front keys, most-recent first; the index views the key bytes
+    /// its list node owns, so each key is stored once.
+    using Front = std::list<std::pair<std::string, std::uint64_t>>;
+    Front front_lru;
+    std::unordered_map<std::string_view, Front::iterator> front;
   };
 
   /// Shards are owned through pointers, so a const cache still hands
   /// out a lockable shard.
   [[nodiscard]] Shard& shard_of(std::uint64_t digest) const;
+  /// A front key's shard, picked by the FNV-1a digest of its bytes.
+  [[nodiscard]] Shard& front_shard_of(std::string_view key) const;
   /// The body of lookup(); the caller holds `shard.mutex`.
   [[nodiscard]] static OutcomePtr find_locked(Shard& shard,
                                               std::uint64_t digest);

@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <stdexcept>
 #include <thread>
@@ -91,24 +92,32 @@ CompiledJob compile_job(const WireJob& job) {
 }
 
 /// Runs the mapping pipeline and distils the result into the cacheable
-/// outcome. Deterministic failures (infeasible mappings) become error
-/// outcomes -- cached like successes, so repeated bad jobs are O(1)
-/// and hit/miss totals stay schedule-independent.
-OutcomePtr compute_outcome(const WireJob& job, const CompiledJob& cj) {
+/// outcome. `cj` is empty on a front hit whose outcome was evicted:
+/// the job is compiled here, and a failure of that compile becomes an
+/// error outcome too, so the claim is always published. Deterministic
+/// failures (infeasible mappings) become error outcomes -- cached like
+/// successes, so repeated bad jobs are O(1) and hit/miss totals stay
+/// schedule-independent.
+OutcomePtr compute_outcome(const WireJob& job,
+                           std::optional<CompiledJob>& cj) {
   auto outcome = std::make_shared<CachedOutcome>();
   try {
+    if (!cj) cj.emplace(compile_job(job));
     const MapperReport report =
-        map_program(cj.ast, cj.compiled, cj.topo, job.options);
+        map_program(cj->ast, cj->compiled, cj->topo, job.options);
     const std::vector<int> procs = report.mapping.proc_of_task();
     const PlacementObjectives obj = extract_objectives(
-        cj.compiled.graph, procs, report.mapping.routing, cj.topo);
+        cj->compiled.graph, procs, report.mapping.routing, cj->topo);
     outcome->strategy = to_string(report.strategy);
     outcome->completion = obj.completion;
     outcome->external_ipc = obj.external_ipc;
     outcome->max_load = obj.max_load;
-    outcome->num_procs = cj.topo.num_procs();
+    outcome->num_procs = cj->topo.num_procs();
     outcome->proc_of_task = procs;
     outcome->ok = true;
+  } catch (const WireError& e) {
+    outcome->error_code = e.code();
+    outcome->error = e.what();
   } catch (const MappingError& e) {
     outcome->error_code = kJobInfeasible;
     outcome->error = "job " + job.id + ": mapping infeasible: " + e.what();
@@ -123,7 +132,8 @@ OutcomePtr compute_outcome(const WireJob& job, const CompiledJob& cj) {
 /// the outcome partition of telemetry.hpp (hit and miss are ok lines,
 /// every error line is one of the other three); the last three are
 /// cache traffic, counted when a worker claims its digest, so a job
-/// the watchdog abandons still counts its hit or miss.
+/// the watchdog abandons mid-run still counts its hit or miss (one
+/// abandoned before it starts never reaches the cache).
 enum Tally : std::size_t {
   kHit, kMiss, kError, kRejected, kAbandoned,
   kCacheHit, kCacheMiss, kDedupJoin, kTallies
@@ -249,11 +259,15 @@ void run_watchdog(ServeState& state) {
   }
 }
 
-/// The per-job worker body: compile, digest, claim the digest (hit,
-/// join or compute), format, finish. Never throws. If the watchdog
-/// claimed the job first, the line is discarded -- but a computed
+/// The per-job worker body: front key or compile and digest, claim the
+/// digest (hit, join or compute), format, finish. Never throws. A job
+/// the watchdog abandoned while it queued returns at once; if the
+/// watchdog claims it mid-run, the line is discarded -- but a computed
 /// outcome was already cached and journaled, so the work is not wasted.
 void run_job(ServeState& state, Admitted& admitted) {
+  if (admitted.claimed.load()) {
+    return;  // the watchdog already answered code 6; nothing to run
+  }
   const WireJob& job = admitted.job;
   const ServerOptions& opts = state.opts;
   // One enabled-check up front keeps the disabled hot path at a single
@@ -284,8 +298,19 @@ void run_job(ServeState& state, Admitted& admitted) {
     if (fp.action == failpoint::Action::Hang) {
       std::this_thread::sleep_for(std::chrono::milliseconds(fp.arg));
     }
-    const CompiledJob cj = compile_job(job);
-    digest = job_digest(cj.compiled.graph, cj.topo, job.options);
+    // A front hit knows its digest without compiling; a miss compiles,
+    // digests and records the pair (a failed compile throws first).
+    std::string key = front_key(job);
+    std::optional<CompiledJob> cj;
+    const std::optional<std::uint64_t> known =
+        key.empty() ? std::nullopt : state.cache->front_lookup(key);
+    if (known) {
+      digest = *known;
+    } else {
+      cj.emplace(compile_job(job));
+      digest = job_digest(cj->compiled.graph, cj->topo, job.options);
+      if (!key.empty()) state.cache->front_record(std::move(key), digest);
+    }
     have_digest = true;
 
     // Single-flight: exactly one worker computes each digest, so the

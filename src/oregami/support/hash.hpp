@@ -16,6 +16,7 @@
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <utility>
 
 namespace oregami {
 
@@ -23,8 +24,38 @@ namespace oregami {
 /// into every digest, so stale cache keys can never alias new ones.
 inline constexpr std::uint64_t kDigestVersion = 1;
 
+/// The typed combinators shared by every sink of the canonical fold:
+/// `Sink` supplies `bytes(data, size)`, and each combinator reduces to
+/// it, so the hasher and the byte recorder below see the same bytes.
+template <class Sink>
+class CanonicalFold {
+ public:
+  /// Folds a u64 as 8 little-endian bytes (fixed width on every
+  /// platform).
+  void u64(std::uint64_t v) {
+    unsigned char buf[8];
+    for (int i = 0; i < 8; ++i) {
+      buf[i] = static_cast<unsigned char>(v >> (8 * i));
+    }
+    sink().bytes(buf, sizeof(buf));
+  }
+
+  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
+  void i32(int v) { u64(static_cast<std::uint64_t>(static_cast<std::int64_t>(v))); }
+  void boolean(bool v) { u64(v ? 1 : 0); }
+
+  /// Length-prefixed string fold.
+  void str(std::string_view s) {
+    u64(s.size());
+    sink().bytes(s.data(), s.size());
+  }
+
+ private:
+  Sink& sink() { return static_cast<Sink&>(*this); }
+};
+
 /// Incremental FNV-1a (64-bit) with length-prefixed combinators.
-class Fnv1a {
+class Fnv1a : public CanonicalFold<Fnv1a> {
  public:
   static constexpr std::uint64_t kOffset = 0xcbf29ce484222325ULL;
   static constexpr std::uint64_t kPrime = 0x00000100000001b3ULL;
@@ -39,30 +70,24 @@ class Fnv1a {
     }
   }
 
-  /// Folds a u64 as 8 little-endian bytes (fixed width on every
-  /// platform).
-  void u64(std::uint64_t v) {
-    unsigned char buf[8];
-    for (int i = 0; i < 8; ++i) {
-      buf[i] = static_cast<unsigned char>(v >> (8 * i));
-    }
-    bytes(buf, sizeof(buf));
-  }
-
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void i32(int v) { u64(static_cast<std::uint64_t>(static_cast<std::int64_t>(v))); }
-  void boolean(bool v) { u64(v ? 1 : 0); }
-
-  /// Length-prefixed string fold.
-  void str(std::string_view s) {
-    u64(s.size());
-    bytes(s.data(), s.size());
-  }
-
   [[nodiscard]] std::uint64_t digest() const { return state_; }
 
  private:
   std::uint64_t state_ = kOffset;
+};
+
+/// Keeps the folded bytes verbatim instead of hashing them: a key that
+/// is compared in full, where a 64-bit digest could collide.
+class CanonicalBytes : public CanonicalFold<CanonicalBytes> {
+ public:
+  void bytes(const void* data, std::size_t size) {
+    out_.append(static_cast<const char*>(data), size);
+  }
+
+  [[nodiscard]] std::string take() { return std::move(out_); }
+
+ private:
+  std::string out_;
 };
 
 /// 16 lowercase hex characters, zero-padded (the wire format of a

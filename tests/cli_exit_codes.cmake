@@ -202,6 +202,17 @@ expect_serve_exit(2 "" --failpoints "a.b:err@p5")
 expect_serve_exit(0 "{\"id\":1,\"program\":\"jacobi\",\"bind\":{\"n\":8,\"iters\":10},\"topology\":\"mesh:4x4\"}"
                   --failpoints "job.run:throw@1")
 
+# The fired-failpoint report opens its stderr line with `failpoints: `.
+execute_process(COMMAND ${CMAKE_COMMAND} -E echo "{\"id\":1,\"program\":\"jacobi\",\"bind\":{\"n\":8,\"iters\":10},\"topology\":\"mesh:4x4\"}"
+                COMMAND ${OREGAMI_SERVE} --failpoints "job.run:throw@1"
+                OUTPUT_QUIET
+                ERROR_VARIABLE serve_stderr)
+if(NOT serve_stderr MATCHES "(^|\n)failpoints: job\\.run:throw@1 fired 1\n")
+  message(FATAL_ERROR
+          "oregami_serve --failpoints: expected a 'failpoints: ' report "
+          "line on stderr, got:\n${serve_stderr}")
+endif()
+
 # ---------------------------------------------------------------------
 # Telemetry flags: malformed values and dangling dependents are usage
 # errors; an unwritable metrics path degrades (warning on stderr) but

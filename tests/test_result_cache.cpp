@@ -11,6 +11,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -67,6 +68,24 @@ TEST(Fnv1a, DigestHexIsSixteenLowercaseZeroPadded) {
   EXPECT_EQ(digest_hex(0), "0000000000000000");
   EXPECT_EQ(digest_hex(0xdeadbeefULL), "00000000deadbeef");
   EXPECT_EQ(digest_hex(0xFFFFFFFFFFFFFFFFULL), "ffffffffffffffff");
+}
+
+TEST(Fnv1a, CanonicalBytesKeepExactlyTheBytesTheHashFolds) {
+  const auto fold = [](auto& h) {
+    h.u64(0x0123456789abcdefULL);
+    h.i32(-2);
+    h.boolean(true);
+    h.str("front");
+  };
+  Fnv1a folded;
+  fold(folded);
+  CanonicalBytes kept;
+  fold(kept);
+  const std::string bytes = kept.take();
+  EXPECT_EQ(bytes.size(), 8u * 4 + 5);
+  Fnv1a rehashed;
+  rehashed.bytes(bytes.data(), bytes.size());
+  EXPECT_EQ(rehashed.digest(), folded.digest());
 }
 
 // --------------------------------------------------------- job digest
@@ -290,6 +309,71 @@ TEST(ResultCache, SingleFlightComputesOnceAndJoinersShareThePointer) {
   EXPECT_FALSE(later.computes());
   EXPECT_EQ(later.hit, seen.front());
   EXPECT_EQ(cache.lookup(kDigest), seen.front());
+}
+
+TEST(ResultCache, FrontKeysCompareTheirBytesInFull) {
+  // One shard, so every key shares one table: keys that are prefixes of
+  // each other, or differ in one byte, still resolve to their own digest.
+  ResultCache cache(64, 1);
+  const std::vector<std::string> keys = {"", "a", "ab", "abc", "abd",
+                                         std::string("a\0c", 3)};
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    cache.front_record(keys[i], 100 + i);
+  }
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(cache.front_lookup(keys[i]), 100 + i) << i;
+  }
+  EXPECT_EQ(cache.front_lookup("abcd"), std::nullopt);
+  EXPECT_EQ(cache.stats().front_size, static_cast<std::int64_t>(keys.size()));
+  EXPECT_EQ(cache.stats().size, 0);  // front keys are not entries
+}
+
+TEST(ResultCache, FrontKeysShareTheLruBound) {
+  ResultCache cache(3, 1);
+  cache.front_record("one", 1);
+  cache.front_record("two", 2);
+  cache.front_record("three", 3);
+  ASSERT_EQ(cache.front_lookup("one"), 1u);  // refresh; LRU tail is "two"
+  cache.front_record("four", 4);
+  EXPECT_EQ(cache.front_lookup("two"), std::nullopt);
+  EXPECT_EQ(cache.front_lookup("one"), 1u);
+  EXPECT_EQ(cache.front_lookup("four"), 4u);
+  EXPECT_EQ(cache.stats().front_size, 3);
+  cache.front_record("four", 44);  // re-recording replaces in place
+  EXPECT_EQ(cache.front_lookup("four"), 44u);
+  EXPECT_EQ(cache.stats().front_size, 3);
+  EXPECT_EQ(cache.stats().evictions, 0);  // entry evictions only
+}
+
+TEST(ResultCache, FrontKeyHammerIsRaceFreeAndBounded) {
+  // TSan-checked in CI: 8 threads look up and record a small key set
+  // on a cache too small to hold it, so keys are evicted mid-use.
+  ResultCache cache(16, 4);
+  constexpr int kThreads = 8;
+  std::atomic<int> ready{0};
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {
+      }
+      for (int i = 0; i < 2000; ++i) {
+        const int k = (t * 7 + i) % 48;
+        const std::string key = "request-" + std::to_string(k);
+        const auto digest = cache.front_lookup(key);
+        if (!digest) {
+          cache.front_record(key, static_cast<std::uint64_t>(k));
+        } else if (*digest != static_cast<std::uint64_t>(k)) {
+          wrong.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_LE(cache.stats().front_size, 16);
 }
 
 // ---------------------------------------------------- ThreadSafeQueue

@@ -6,7 +6,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -22,6 +24,7 @@
 #include "oregami/server/wire.hpp"
 #include "oregami/support/failpoint.hpp"
 #include "oregami/support/metrics.hpp"
+#include "oregami/support/rng.hpp"
 
 namespace oregami::server {
 namespace {
@@ -627,6 +630,229 @@ TEST(Serve, StatsToJsonIsOneStableLine) {
             "\"cache_hits\":4,\"cache_misses\":6,\"cache_evictions\":7}");
 }
 
+// --------------------------------------------------------- front key
+
+/// One catalog program's example job, spelled with the given field and
+/// binding orders, by name or by inline source, with the given options
+/// (already-rendered "key":value pairs), id, jobs and deadline.
+struct RequestSpelling {
+  const larcs::programs::CatalogEntry* entry = nullptr;
+  bool inline_source = false;
+  std::string topology;
+  std::vector<std::string> options;
+  int id = 0;
+  int jobs = 0;         ///< 0 = absent
+  int deadline_ms = 0;  ///< 0 = absent
+};
+
+std::string render_request(const RequestSpelling& r, SplitMix64& rng) {
+  auto shuffled = [&rng](std::vector<std::string> parts) {
+    for (std::size_t i = parts.size(); i > 1; --i) {
+      std::swap(parts[i - 1], parts[rng.next_below(i)]);
+    }
+    std::string out;
+    for (const std::string& part : parts) {
+      out += (out.empty() ? "" : ",") + part;
+    }
+    return out;
+  };
+  std::vector<std::string> binds;
+  for (const auto& [name, value] : r.entry->example_bindings) {
+    binds.push_back("\"" + name + "\":" + std::to_string(value));
+  }
+  std::vector<std::string> options = r.options;
+  if (r.jobs != 0) options.push_back("\"jobs\":" + std::to_string(r.jobs));
+  std::vector<std::string> fields = {
+      "\"id\":" + std::to_string(r.id),
+      r.inline_source
+          ? "\"larcs\":\"" + json_escape(r.entry->source) + "\""
+          : "\"program\":\"" + r.entry->name + "\"",
+      "\"bind\":{" + shuffled(binds) + "}",
+      "\"topology\":\"" + r.topology + "\"",
+      "\"options\":{" + shuffled(options) + "}"};
+  if (r.deadline_ms != 0) {
+    fields.push_back("\"deadline_ms\":" + std::to_string(r.deadline_ms));
+  }
+  return "{" + shuffled(fields) + "}";
+}
+
+/// The compile path's digest of a parsed request.
+std::uint64_t compiled_digest(const WireJob& job) {
+  const std::string source =
+      job.program.empty() ? job.larcs
+                          : larcs::programs::find(job.program)->source;
+  const larcs::CompiledProgram compiled =
+      larcs::compile(larcs::parse_program(source), job.bindings);
+  return job_digest(compiled.graph, parse_topology_spec(job.topology),
+                    job.options);
+}
+
+const larcs::programs::CatalogEntry& catalog_entry(const std::string& name) {
+  const auto* entry = larcs::programs::find(name);
+  if (entry == nullptr) throw std::runtime_error("no catalog program " + name);
+  return *entry;
+}
+
+TEST(FrontKey, OneKeyNeverResolvesToTwoCompiledDigests) {
+  // Property over generated requests: field, binding and option orders
+  // shuffled, name vs identical inline source, jobs, deadline_ms and id
+  // varied. Whatever the spelling, one front key maps to one digest,
+  // and spellings that differ only in order, jobs, deadline or id
+  // share their key.
+  const std::vector<std::string> programs = {"jacobi", "sor", "nbody",
+                                             "cbt_reduce"};
+  const std::vector<std::string> topologies = {"mesh:4x4", "ring:16"};
+  const std::vector<std::vector<std::string>> option_sets = {
+      {},
+      {"\"portfolio\":4"},
+      {"\"portfolio\":4", "\"anneal\":1", "\"heft\":true"},
+      {"\"portfolio\":2", "\"seed\":7", "\"budget_ms\":0"},
+      {"\"refine_placement\":true", "\"no_canned\":true", "\"load_bound\":3"}};
+  SplitMix64 rng(2024);
+  std::map<std::string, std::uint64_t> digest_of_key;
+  std::map<std::string, std::set<std::string>> keys_of_problem;
+  for (int i = 0; i < 240; ++i) {
+    RequestSpelling r;
+    const std::string& name = programs[rng.next_below(programs.size())];
+    r.entry = &catalog_entry(name);
+    r.inline_source = rng.next_below(2) == 1;
+    r.topology = topologies[rng.next_below(topologies.size())];
+    const std::size_t option_set = rng.next_below(option_sets.size());
+    r.options = option_sets[option_set];
+    r.id = i + 1;
+    r.jobs = static_cast<int>(rng.next_below(4));
+    r.deadline_ms = static_cast<int>(rng.next_below(3)) * 5000;
+    const WireJob job = parse_job(render_request(r, rng), 1);
+    const std::string key = front_key(job);
+    ASSERT_FALSE(key.empty());
+    const std::uint64_t digest = compiled_digest(job);
+    const auto [it, fresh] = digest_of_key.try_emplace(key, digest);
+    EXPECT_EQ(it->second, digest) << "front key resolved to two digests";
+    keys_of_problem[name + (r.inline_source ? "/inline/" : "/name/") +
+                    r.topology + "/" + std::to_string(option_set)]
+        .insert(key);
+  }
+  // Order, jobs, deadline and id never split a key.
+  for (const auto& [problem, keys] : keys_of_problem) {
+    EXPECT_EQ(keys.size(), 1u) << problem;
+  }
+
+  // Name and identical inline source: two keys, one digest -- the pin.
+  RequestSpelling jacobi;
+  jacobi.entry = &catalog_entry("jacobi");
+  jacobi.topology = "mesh:4x4";
+  const WireJob by_name = parse_job(render_request(jacobi, rng), 1);
+  jacobi.inline_source = true;
+  const WireJob by_source = parse_job(render_request(jacobi, rng), 1);
+  EXPECT_NE(front_key(by_name), front_key(by_source));
+  EXPECT_EQ(digest_hex(compiled_digest(by_name)), "7bb2d7d76f7682a2");
+  EXPECT_EQ(digest_hex(compiled_digest(by_source)), "7bb2d7d76f7682a2");
+}
+
+constexpr const char* kJacobiJob =
+    "{\"id\":1,\"program\":\"jacobi\",\"bind\":{\"n\":8,\"iters\":10},"
+    "\"topology\":\"mesh:4x4\"}\n";
+
+/// Serves `stream` against `cache` (deterministic, `jobs` workers).
+std::pair<std::string, ServerStats> serve_with(ResultCache& cache,
+                                               const std::string& stream,
+                                               int jobs = 1) {
+  ServerOptions options = deterministic_options(jobs);
+  options.cache = &cache;
+  std::istringstream in(stream);
+  std::ostringstream out;
+  const ServerStats stats = serve(in, out, options);
+  return {out.str(), stats};
+}
+
+TEST(FrontKey, FrontHitLineIsByteIdenticalToTheCompilePathLine) {
+  const std::string key = front_key(parse_job(kJacobiJob, 1));
+  // Cache `front` is primed by the request itself: its repeat is a
+  // front hit. Cache `compiled` is primed by the same problem spelled
+  // as inline source, so the request by name compiles, then hits.
+  ResultCache front(64, 4);
+  (void)serve_with(front, kJacobiJob);
+  ASSERT_TRUE(front.front_lookup(key).has_value());
+
+  RequestSpelling inline_jacobi;
+  inline_jacobi.entry = &catalog_entry("jacobi");
+  inline_jacobi.inline_source = true;
+  inline_jacobi.topology = "mesh:4x4";
+  inline_jacobi.id = 1;
+  SplitMix64 rng(1);
+  ResultCache compiled(64, 4);
+  (void)serve_with(compiled, render_request(inline_jacobi, rng) + "\n");
+  ASSERT_FALSE(compiled.front_lookup(key).has_value());
+
+  const auto [front_line, front_stats] = serve_with(front, kJacobiJob);
+  const auto [compiled_line, compiled_stats] =
+      serve_with(compiled, kJacobiJob);
+  EXPECT_EQ(front_stats.cache_hits, 1);
+  EXPECT_EQ(compiled_stats.cache_hits, 1);
+  expect_contains(front_line, "\"digest\":\"7bb2d7d76f7682a2\"");
+  EXPECT_EQ(front_line, compiled_line);
+}
+
+TEST(FrontKey, EvictedOutcomeIsRecompiledAndAnswersTheSame) {
+  // One entry of room: evicting the outcome behind a front key leaves
+  // the key itself, so the repeat takes the front path, finds no
+  // outcome, and must compile and map again.
+  ResultCache cache(1, 1);
+  const auto [first, first_stats] = serve_with(cache, kJacobiJob);
+  const std::string key = front_key(parse_job(kJacobiJob, 1));
+  const std::optional<std::uint64_t> digest = cache.front_lookup(key);
+  ASSERT_TRUE(digest.has_value());
+  cache.insert(*digest + 1, std::make_shared<CachedOutcome>());
+  ASSERT_FALSE(cache.contains(*digest));
+  ASSERT_EQ(cache.front_lookup(key), digest);
+
+  const auto [again, again_stats] = serve_with(cache, kJacobiJob);
+  EXPECT_EQ(again_stats.cache_misses, 1);
+  EXPECT_EQ(again, first);  // both misses: the same bytes
+  EXPECT_TRUE(cache.contains(*digest));
+}
+
+TEST(FrontKey, RewrittenProgramFileIsRecompiled) {
+  const std::string path = testing::TempDir() + "front_key_rewrite.larcs";
+  const std::string job = "{\"id\":1,\"program_file\":\"" +
+                          json_escape(path) +
+                          "\",\"bind\":{\"n\":8,\"iters\":10},"
+                          "\"topology\":\"mesh:4x4\"}\n";
+  EXPECT_TRUE(front_key(parse_job(job, 1)).empty());
+  ResultCache cache(64, 4);
+  std::string digests[2];
+  for (const char* program : {"jacobi", "sor"}) {
+    std::ofstream(path) << catalog_entry(program).source;
+    const std::string line = serve_with(cache, job).first;
+    const auto at = line.find("\"digest\":\"");
+    ASSERT_NE(at, std::string::npos) << line;
+    digests[program[0] == 's'] = line.substr(at + 10, 16);
+  }
+  std::remove(path.c_str());
+  EXPECT_NE(digests[0], digests[1]);
+  WireJob sor = parse_job(job, 1);
+  sor.program_file.clear();
+  sor.program = "sor";
+  EXPECT_EQ(digests[1], digest_hex(compiled_digest(sor)));
+  EXPECT_EQ(cache.stats().front_size, 0);
+}
+
+TEST(FrontKey, ConcurrentRepeatsOfOneKeyComputeOnce) {
+  // TSan-checked in CI: one request repeated on eight workers. Whoever
+  // records the front key first, every answer is the same mapping, and
+  // the digest is computed exactly once.
+  std::string stream;
+  for (int i = 0; i < 64; ++i) stream += kJacobiJob;
+  ResultCache cache(64, 4);
+  const auto [text, stats] = serve_with(cache, stream, 8);
+  EXPECT_EQ(stats.ok, 64);
+  EXPECT_EQ(stats.cache_misses, 1);
+  EXPECT_EQ(stats.cache_hits, 63);
+  const std::vector<std::string> lines = normalized(text);
+  EXPECT_EQ(std::set<std::string>(lines.begin(), lines.end()).size(), 1u);
+  EXPECT_EQ(cache.stats().front_size, 1);
+}
+
 // ------------------------------------------------- chaos & robustness
 
 /// Clears the global failpoint schedule even when a test fails.
@@ -657,6 +883,32 @@ TEST(Serve, WatchdogAbandonsHungJobsAndKeepsDraining) {
   expect_contains(text, "\"id\":\"2\",\"status\":\"ok\"");
   // Exactly one line per job even though worker and watchdog raced.
   EXPECT_EQ(split_lines(text).size(), 2u);
+}
+
+TEST(Serve, JobAbandonedWhileQueuedNeverRuns) {
+  FailpointGuard guard;
+  // One worker, held by job 1's hang: jobs 2 and 3 expire in the queue,
+  // so the watchdog answers them before the worker reaches them, and
+  // the worker must skip them entirely (no compile, no cache traffic).
+  failpoint::configure("job.run:hang(200)@1");
+  const std::string stream =
+      "{\"id\":1,\"program\":\"jacobi\",\"bind\":{\"n\":8,\"iters\":10},"
+      "\"topology\":\"mesh:4x4\",\"deadline_ms\":50}\n"
+      "{\"id\":2,\"program\":\"sor\",\"bind\":{\"n\":8,\"iters\":10},"
+      "\"topology\":\"mesh:4x4\",\"deadline_ms\":50}\n"
+      "{\"id\":3,\"program\":\"nbody\",\"bind\":{\"n\":15,\"s\":4,"
+      "\"m\":8},\"topology\":\"mesh:4x4\",\"deadline_ms\":50}\n";
+  std::istringstream in(stream);
+  std::ostringstream out;
+  const ServerStats stats = serve(in, out, deterministic_options(1));
+  EXPECT_EQ(stats.abandoned, 3);
+  EXPECT_EQ(stats.cache_misses, 1);  // only the hung job ran
+  EXPECT_EQ(stats.cache_hits, 0);
+  const std::vector<std::string> lines = split_lines(out.str());
+  ASSERT_EQ(lines.size(), 3u);
+  for (const std::string& line : lines) {
+    expect_contains(line, "\"code\":6");
+  }
 }
 
 TEST(Serve, ForcedRejectionCarriesDeterministicRetryAfterHint) {

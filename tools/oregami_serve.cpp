@@ -305,7 +305,7 @@ int main(int argc, char** argv) {
     if (args.failpoints) {
       const std::string fired = oregami::failpoint::report();
       if (!fired.empty()) {
-        std::cerr << "args.failpoints: " << fired << "\n";
+        std::cerr << "failpoints: " << fired << "\n";
       }
     }
     if (event_log) {
